@@ -365,12 +365,15 @@ func (p *proxy) forward(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The middleware stamped the request ID (the client's, or a fresh one)
+	// on the response; the backend gets the same ID so both logs correlate.
+	id := w.Header().Get("X-Request-Id")
 	for i, b := range order {
 		if i > 0 {
 			p.mtr.retries.Add(1)
 		}
 		start := time.Now()
-		res, err := p.attempt(b, r, bodyBytes, retriable)
+		res, err := p.attempt(b, r, id, bodyBytes, retriable)
 		if err != nil {
 			b.metrics.Observe(time.Since(start), http.StatusBadGateway)
 			msg := err.Error()
@@ -388,8 +391,9 @@ func (p *proxy) forward(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// attempt issues the request against one backend.
-func (p *proxy) attempt(b *backend, r *http.Request, bodyBytes []byte, retriable bool) (*http.Response, error) {
+// attempt sends the request to one backend, carrying the proxy's request
+// ID.
+func (p *proxy) attempt(b *backend, r *http.Request, id string, bodyBytes []byte, retriable bool) (*http.Response, error) {
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), nil)
 	if err != nil {
 		return nil, err
@@ -403,13 +407,17 @@ func (p *proxy) attempt(b *backend, r *http.Request, bodyBytes []byte, retriable
 	}
 	copyHeaders(out.Header, r.Header)
 	out.Header.Set("X-Forwarded-For", clientIP(r))
+	out.Header.Set("X-Request-Id", id)
 	return p.client.Do(out)
 }
 
 // relay copies the backend response to the client, streaming the body with
 // per-chunk flushes so NDJSON responses stay interactive through the proxy.
+// The backend's echo of the request ID is dropped: the response already
+// carries the proxy's, and a client must see exactly one.
 func (p *proxy) relay(w http.ResponseWriter, res *http.Response, b *backend) {
 	defer res.Body.Close()
+	res.Header.Del("X-Request-Id")
 	copyHeaders(w.Header(), res.Header)
 	w.Header().Set("X-Backend", b.url)
 	w.WriteHeader(res.StatusCode)

@@ -35,6 +35,48 @@ func echoBackend(t *testing.T, name string) *httptest.Server {
 	return ts
 }
 
+// TestRequestIDForwarded: the proxy forwards the request ID its middleware
+// stamped — the client's, or a fresh one — to the backend, and the client
+// sees exactly that one ID, not the proxy's next to the backend's echo.
+func TestRequestIDForwarded(t *testing.T) {
+	seen := make(chan string, 1)
+	var mw obs.Middleware
+	var em obs.EndpointMetrics
+	backend := httptest.NewServer(mw.Wrap("classify", &em, nil, func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get("X-Request-Id")
+		fmt.Fprint(w, `{"class":"lo"}`)
+	}))
+	defer backend.Close()
+	ts := httptest.NewServer(mustProxy(t, "roundrobin", backend.URL).handler())
+	defer ts.Close()
+
+	for _, clientID := range []string{"", "client-id-1"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/classify", strings.NewReader(`{"num":[1]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clientID != "" {
+			req.Header.Set("X-Request-Id", clientID)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		ids := res.Header.Values("X-Request-Id")
+		backendID := <-seen
+		if len(ids) != 1 || ids[0] == "" {
+			t.Fatalf("client ID %q: response carries X-Request-Id %q, want exactly one", clientID, ids)
+		}
+		if backendID != ids[0] {
+			t.Fatalf("client ID %q: backend saw %q, client got %q", clientID, backendID, ids[0])
+		}
+		if clientID != "" && ids[0] != clientID {
+			t.Fatalf("client ID %q replaced by %q", clientID, ids[0])
+		}
+	}
+}
+
 func mustProxy(t *testing.T, strategy string, urls ...string) *proxy {
 	t.Helper()
 	p, err := newProxy(urls, strategy)

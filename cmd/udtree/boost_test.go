@@ -46,12 +46,8 @@ func TestTrainBoostRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, ok := mdl.(*forest.Forest)
-	if !ok {
-		t.Fatalf("boosted model loaded as %T", mdl)
-	}
-	if f.Kind() != forest.KindBoosted {
-		t.Fatalf("loaded kind = %q", f.Kind())
+	if mdl.Kind() != forest.KindBoosted {
+		t.Fatalf("loaded kind = %q", mdl.Kind())
 	}
 
 	out, err = capture(t, func() error {

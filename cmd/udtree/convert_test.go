@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,14 +120,55 @@ func TestConvertErrors(t *testing.T) {
 
 // TestPredictNDJSONGoldenBinary pins predict -format ndjson from a converted
 // binary model to the shared golden stream: the CLI answers the exact same
-// bytes whether it loads the JSON fixture or its binary container.
+// bytes whether it loads the JSON fixture or its binary container. It also
+// pins the tree's encodings by digest — the binary container, that container
+// converted back to JSON, and the extracted rules from either file — so any
+// change to how a single tree is stored or decompiled shows up here.
 func TestPredictNDJSONGoldenBinary(t *testing.T) {
 	fixtures := "../../testdata/stream"
-	binPath := filepath.Join(t.TempDir(), "model.udt")
+	dir := t.TempDir()
+	binPath := filepath.Join(dir, "model.udt")
 	if _, err := capture(t, func() error {
 		return convert([]string{"-in", fixtures + "/model.json", "-out", binPath, "-to", "binary"})
 	}); err != nil {
 		t.Fatalf("convert: %v", err)
+	}
+	backPath := filepath.Join(dir, "back.json")
+	if _, err := capture(t, func() error {
+		return convert([]string{"-in", binPath, "-out", backPath, "-to", "json"})
+	}); err != nil {
+		t.Fatalf("convert back: %v", err)
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for path, want := range map[string]struct {
+		size   int
+		sha256 string
+	}{
+		binPath:  {1256, "85b1d5aac3334533ca65ef3ccb1f3eeee43dae7f57396f33fd54db3cee7668cb"},
+		backPath: {-1, "8d7ba2fe82e9add568483b6b806a02518f917a6d1061ad3873586cc290f9657d"},
+	} {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.size >= 0 && len(blob) != want.size {
+			t.Errorf("%s has %d bytes, want %d", filepath.Base(path), len(blob), want.size)
+		}
+		if got := digest(blob); got != want.sha256 {
+			t.Errorf("%s sha256 %s, want %s", filepath.Base(path), got, want.sha256)
+		}
+	}
+	for _, model := range []string{fixtures + "/model.json", binPath} {
+		out, err := capture(t, func() error { return rules([]string{"-model", model}) })
+		if err != nil {
+			t.Fatalf("rules %s: %v", model, err)
+		}
+		if got := digest([]byte(out)); got != "574a928e240ec97d70762a59f205814af796850c6c8b4d470b5e6a00892be991" {
+			t.Errorf("rules from %s: sha256 %s, output:\n%s", filepath.Base(model), got, out)
+		}
 	}
 	out, err := capture(t, func() error {
 		return predict([]string{

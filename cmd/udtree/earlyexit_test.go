@@ -10,9 +10,10 @@ import (
 	"udt/internal/modelio"
 )
 
-// TestPredictEarlyExit: -early-exit over a boosted model must print the same
-// classes as full evaluation, one members-evaluated count per tuple, and a
-// mean-members summary — and refuse single-tree models.
+// TestPredictEarlyExit: -early-exit must print the same classes as full
+// evaluation, one members-evaluated count per tuple, and a mean-members
+// summary — over a boosted model, and over a single tree, which is a
+// one-member forest and so always evaluates exactly its one member.
 func TestPredictEarlyExit(t *testing.T) {
 	trainPath, testPath, modelPath := writeFixtures(t)
 	if _, err := capture(t, func() error {
@@ -27,8 +28,23 @@ func TestPredictEarlyExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := mdl.(modelio.Staged).StageCount()
+	assertEarlyExit(t, modelPath, testPath, mdl.StageCount())
 
+	treePath := strings.TrimSuffix(modelPath, ".json") + "-tree.json"
+	if _, err := capture(t, func() error {
+		return train([]string{"-in", trainPath, "-out", treePath, "-minweight", "1"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	assertEarlyExit(t, treePath, testPath, 1)
+}
+
+// assertEarlyExit checks predict -early-exit against full evaluation of the
+// same model, in both output formats: identical classes, a members count in
+// [1, stages] per tuple, a summary line in the human format only, and the
+// udtserve early-exit stream protocol (no distributions) in ndjson.
+func assertEarlyExit(t *testing.T, modelPath, testPath string, stages int) {
+	t.Helper()
 	full, err := capture(t, func() error {
 		return predict([]string{"-model", modelPath, "-in", testPath})
 	})
@@ -64,23 +80,36 @@ func TestPredictEarlyExit(t *testing.T) {
 	}
 
 	// The ndjson format must emit the udtserve early-exit stream protocol
-	// with no summary line.
+	// with no summary line, its classes those of full evaluation.
+	fullND, err := capture(t, func() error {
+		return predict([]string{"-model", modelPath, "-in", testPath, "-format", "ndjson"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	nd, err := capture(t, func() error {
 		return predict([]string{"-model", modelPath, "-in", testPath, "-format", "ndjson", "-early-exit"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := bufio.NewScanner(strings.NewReader(fullND))
 	sc := bufio.NewScanner(strings.NewReader(nd))
 	n := 0
 	for sc.Scan() {
 		n++
-		var r modelio.StreamResult
+		var r, w modelio.StreamResult
 		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
 			t.Fatalf("ndjson line %d: %v (%q)", n, err, sc.Text())
 		}
-		if r.Line != n || r.Class == "" || r.Error != "" {
-			t.Fatalf("ndjson line %d = %+v", n, r)
+		if !want.Scan() {
+			t.Fatalf("ndjson line %d has no full-evaluation counterpart", n)
+		}
+		if err := json.Unmarshal(want.Bytes(), &w); err != nil {
+			t.Fatal(err)
+		}
+		if r.Line != n || r.Class != w.Class || r.Error != "" {
+			t.Fatalf("ndjson line %d = %+v, full evaluation says %q", n, r, w.Class)
 		}
 		if r.MembersEvaluated < 1 || r.MembersEvaluated > stages {
 			t.Fatalf("ndjson line %d: membersEvaluated = %d", n, r.MembersEvaluated)
@@ -91,18 +120,5 @@ func TestPredictEarlyExit(t *testing.T) {
 	}
 	if n != len(fullLines) {
 		t.Fatalf("ndjson produced %d lines, want %d", n, len(fullLines))
-	}
-
-	// Single trees have nothing to stage.
-	treePath := strings.TrimSuffix(modelPath, ".json") + "-tree.json"
-	if _, err := capture(t, func() error {
-		return train([]string{"-in", trainPath, "-out", treePath, "-minweight", "1"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := capture(t, func() error {
-		return predict([]string{"-model", treePath, "-in", testPath, "-early-exit"})
-	}); err == nil || !strings.Contains(err.Error(), "requires an ensemble") {
-		t.Fatalf("single-tree -early-exit error = %v", err)
 	}
 }

@@ -37,9 +37,11 @@ import (
 	"time"
 
 	"udt"
+	"udt/internal/binfmt"
 	"udt/internal/boost"
 	"udt/internal/cliutil"
 	"udt/internal/eval"
+	"udt/internal/forest"
 	"udt/internal/modelio"
 	"udt/internal/obs"
 )
@@ -350,7 +352,7 @@ func predict(args []string) error {
 	batch := fs.Int("batch", streamBatch, "tuples resident at a time on the streaming path (>= 1)")
 	workers := fs.Int("workers", runtime.NumCPU(), "concurrent classification workers per batch (>= 1)")
 	format := fs.String("format", "human", `output format: "human" (one annotated line per tuple) or "ndjson" (the udtserve /classify/stream protocol)`)
-	earlyExit := fs.Bool("early-exit", false, "predict with staged early exit (ensemble models only): byte-identical classes, members-evaluated counts instead of distributions")
+	earlyExit := fs.Bool("early-exit", false, "predict with staged early exit: byte-identical classes, members-evaluated counts instead of distributions")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -382,11 +384,7 @@ func predict(args []string) error {
 	}
 	defer closer.Close()
 	if *earlyExit {
-		staged, ok := mdl.(modelio.Staged)
-		if !ok {
-			return fmt.Errorf("predict: -early-exit requires an ensemble model, got %s", mdl.Describe())
-		}
-		return streamPredictEarlyExit(os.Stdout, staged, src, *batch, *workers, *format)
+		return streamPredictEarlyExit(os.Stdout, mdl, src, *batch, *workers, *format)
 	}
 	return streamPredict(os.Stdout, mdl, src, *batch, *workers, newEmit)
 }
@@ -394,7 +392,7 @@ func predict(args []string) error {
 // checkSchema rejects an input stream whose attribute arity differs from
 // the model's — the compiled engine indexes tuple attributes by schema
 // position, so a mismatch would panic mid-descent instead of erroring.
-func checkSchema(mdl modelio.Model, src udt.RowSource) error {
+func checkSchema(mdl *modelio.Model, src udt.RowSource) error {
 	_, numAttrs, catAttrs := mdl.Schema()
 	if len(src.NumAttrs()) != len(numAttrs) || len(src.CatAttrs()) != len(catAttrs) {
 		return fmt.Errorf("%s has %d numeric / %d categorical attributes, model expects %d / %d",
@@ -441,7 +439,7 @@ func ndjsonEmitter(w io.Writer) emitFunc {
 // is identical to classifying tuple-by-tuple over a materialised dataset
 // (ClassifyBatch is positionally identical to Classify), but only one batch
 // is ever resident.
-func streamPredict(w io.Writer, mdl modelio.Model, src udt.RowSource, batch, workers int, newEmit func(io.Writer) emitFunc) error {
+func streamPredict(w io.Writer, mdl *modelio.Model, src udt.RowSource, batch, workers int, newEmit func(io.Writer) emitFunc) error {
 	classes, _, _ := mdl.Schema()
 	if err := checkSchema(mdl, src); err != nil {
 		return err
@@ -475,7 +473,7 @@ func streamPredict(w io.Writer, mdl modelio.Model, src udt.RowSource, batch, wor
 // stops before the full distribution exists). The human format appends a
 // mean-members summary line; ndjson emits udtserve's early-exit stream
 // protocol with no summary, keeping the two surfaces byte-compatible.
-func streamPredictEarlyExit(w io.Writer, mdl modelio.Staged, src udt.RowSource, batch, workers int, format string) error {
+func streamPredictEarlyExit(w io.Writer, mdl *modelio.Model, src udt.RowSource, batch, workers int, format string) error {
 	classes, _, _ := mdl.Schema()
 	if err := checkSchema(mdl, src); err != nil {
 		return err
@@ -526,14 +524,12 @@ func rules(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer modelio.Close(mdl)
-	// TreeSource rather than a concrete type: binary-loaded trees have no
-	// pointer tree resident and decompile one on demand.
-	src, ok := mdl.(modelio.TreeSource)
-	if !ok {
+	defer mdl.Close()
+	if mdl.Kind() != forest.KindTree {
 		return fmt.Errorf("rules: %s is a %s; rule extraction needs a single-tree model", *model, mdl.Describe())
 	}
-	tree, err := src.SourceTree()
+	// Binary-loaded trees have no pointer tree resident and decompile one.
+	tree, err := mdl.MemberTree(0)
 	if err != nil {
 		return err
 	}
@@ -565,8 +561,8 @@ func convert(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer modelio.Close(mdl)
-	from := modelio.ContainerFormat(mdl)
+	defer mdl.Close()
+	from := mdl.Format
 	target := *to
 	if target == "auto" {
 		if from == modelio.FormatBinary {
@@ -581,7 +577,7 @@ func convert(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := modelio.EncodeBinary(f, mdl); err != nil {
+		if err := binfmt.EncodeForest(f, mdl.Forest); err != nil {
 			f.Close()
 			return err
 		}
@@ -589,15 +585,9 @@ func convert(args []string) error {
 			return err
 		}
 	case modelio.FormatJSON:
-		var doc any = mdl
-		if src, ok := mdl.(modelio.TreeSource); ok {
-			// Single-tree models serialize as the tree document, not the
-			// model wrapper; binary-loaded trees decompile here.
-			if doc, err = src.SourceTree(); err != nil {
-				return err
-			}
-		}
-		if err := writeModel(*out, doc); err != nil {
+		// A tree writes its single-tree document; binary-loaded members
+		// decompile.
+		if err := writeModel(*out, mdl.Forest); err != nil {
 			return err
 		}
 	default:
@@ -660,7 +650,7 @@ func evalCmd(args []string) error {
 // into a running accuracy/confusion accumulator. The stream's class labels
 // are remapped onto the model's label order as the vocabulary grows; a label
 // the model has never seen fails the run, like the materialised path did.
-func streamEval(mdl modelio.Model, src udt.RowSource, batch, workers int) (*eval.Accumulator, error) {
+func streamEval(mdl *modelio.Model, src udt.RowSource, batch, workers int) (*eval.Accumulator, error) {
 	classes, _, _ := mdl.Schema()
 	if err := checkSchema(mdl, src); err != nil {
 		return nil, err

@@ -9,9 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"udt/internal/binfmt"
 	"udt/internal/modelio"
 )
 
@@ -23,7 +26,7 @@ func toBinary(t *testing.T, jsonPath, binPath string) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := modelio.EncodeBinary(&buf, m); err != nil {
+	if err := binfmt.EncodeForest(&buf, m.Forest); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(binPath, buf.Bytes(), 0o644); err != nil {
@@ -134,6 +137,61 @@ func TestServeBinaryTreeModel(t *testing.T) {
 	decodeBody(t, res, http.StatusOK, &health)
 	if health.Container != "binary" || health.Format != "tree" || health.Nodes <= 0 {
 		t.Fatalf("healthz = %+v", health)
+	}
+}
+
+// TestHealthzFieldsPerKind pins /healthz's field set for every model kind
+// and container: a tree — JSON or binary — reports format "tree", its node
+// count and its tree description, and no ensemble fields; forests add the
+// container version, kind, member count, and OOB statistics (bagged) or
+// member weights (boosted).
+func TestHealthzFieldsPerKind(t *testing.T) {
+	dir := t.TempDir()
+	treeJSON := trainModel(t)
+	treeBin := filepath.Join(dir, "tree.udt")
+	toBinary(t, treeJSON, treeBin)
+	common := []string{"classes", "commit", "container", "description", "format", "generation", "goVersion",
+		"loadedAt", "model", "models", "name", "nodes", "status", "uptime", "version"}
+	ensemble := append([]string{"formatVersion", "kind", "trees"}, common...)
+	for _, tc := range []struct {
+		name, path, container, format string
+		keys                          []string
+	}{
+		{"tree/json", treeJSON, "json", "tree", common},
+		{"tree/binary", treeBin, "binary", "tree", common},
+		{"bagged", trainForestModel(t, dir, 3), "json", "forest", append([]string{"oob"}, ensemble...)},
+		{"boosted", trainBoostedModel(t, dir), "json", "forest", append([]string{"memberWeights"}, ensemble...)},
+	} {
+		s, err := newServer(tc.path, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.handler())
+		res, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var health map[string]any
+		decodeBody(t, res, http.StatusOK, &health)
+		ts.Close()
+		keys := make([]string, 0, len(health))
+		for k := range health {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		sort.Strings(tc.keys)
+		if fmt.Sprint(keys) != fmt.Sprint(tc.keys) {
+			t.Errorf("%s: healthz fields %v, want %v", tc.name, keys, tc.keys)
+		}
+		if health["container"] != tc.container || health["format"] != tc.format {
+			t.Errorf("%s: container %v format %v, want %s %s", tc.name, health["container"], health["format"], tc.container, tc.format)
+		}
+		if tc.format == "tree" {
+			desc, _ := health["description"].(string)
+			if want := fmt.Sprintf("tree (%v nodes, depth ", health["nodes"]); !strings.HasPrefix(desc, want) {
+				t.Errorf("%s: description %q, want prefix %q", tc.name, desc, want)
+			}
+		}
 	}
 }
 

@@ -133,19 +133,28 @@ func TestEarlyExitStream(t *testing.T) {
 	}
 }
 
-// TestEarlyExitRequiresEnsemble: startup and hot reload must both refuse a
-// single-tree model in -early-exit mode (a tree has nothing to stage), the
-// reload failure leaving the ensemble serving.
-func TestEarlyExitRequiresEnsemble(t *testing.T) {
+// TestEarlyExitSingleTree: a single tree is a one-member forest, so
+// -early-exit serves it like any model — at startup and after a boosted →
+// tree hot reload — answering the full-evaluation classes with
+// membersEvaluated 1 on /classify and on the stream endpoint.
+func TestEarlyExitSingleTree(t *testing.T) {
 	treePath := trainModel(t)
-	if _, err := newServerMode(treePath, 1, true); err == nil {
-		t.Fatal("early-exit server accepted a single-tree model")
-	} else if !strings.Contains(err.Error(), "requires an ensemble") {
-		t.Fatalf("error %q does not explain the early-exit requirement", err)
+	full, err := newServer(treePath, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	tsFull := httptest.NewServer(full.handler())
+	defer tsFull.Close()
+	early, err := newServerMode(treePath, 1, true)
+	if err != nil {
+		t.Fatalf("early-exit server refused a single tree: %v", err)
+	}
+	tsEarly := httptest.NewServer(early.handler())
+	defer tsEarly.Close()
+	assertTreeEarlyExit(t, tsFull.URL, tsEarly.URL)
 
-	dir := t.TempDir()
-	modelPath := trainBoostedModel(t, dir)
+	// Hot reload from a boosted ensemble to the tree.
+	modelPath := trainBoostedModel(t, t.TempDir())
 	s, err := newServerMode(modelPath, 1, true)
 	if err != nil {
 		t.Fatal(err)
@@ -159,19 +168,65 @@ func TestEarlyExitRequiresEnsemble(t *testing.T) {
 	if err := os.WriteFile(modelPath, treeBlob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res := postJSON(t, ts.URL+"/reload", "")
-	res.Body.Close()
-	if res.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("reload to a tree in early-exit mode returned %d", res.StatusCode)
+	var reloaded struct {
+		Generation  int64  `json:"generation"`
+		Description string `json:"description"`
 	}
-	// The previous (boosted) generation must still serve.
-	cres := postJSON(t, ts.URL+"/classify", `{"num": [0.2, [1, 2, 3]]}`)
-	var out struct {
-		Class string `json:"class"`
+	decodeBody(t, postJSON(t, ts.URL+"/reload", ""), http.StatusOK, &reloaded)
+	if reloaded.Generation != 2 || !strings.HasPrefix(reloaded.Description, "tree (") {
+		t.Fatalf("reload to a tree = %+v", reloaded)
 	}
-	decodeBody(t, cres, http.StatusOK, &out)
-	if out.Class != "lo" {
-		t.Fatalf("post-failed-reload classify = %q", out.Class)
+	assertTreeEarlyExit(t, tsFull.URL, ts.URL)
+}
+
+// assertTreeEarlyExit checks an early-exit server holding a single tree
+// against a full-evaluation server of the same tree: identical classes and
+// exactly one member evaluated per tuple, on /classify and the stream.
+func assertTreeEarlyExit(t *testing.T, fullURL, earlyURL string) {
+	t.Helper()
+	tuples := []string{
+		`{"num": [0.2, [1, 2, 3]]}`,
+		`{"num": [9.2, [12, 13, 14]]}`,
+		`{"num": [null, [2, 3, 4]]}`,
+	}
+	body := `{"tuples": [` + strings.Join(tuples, ", ") + `]}`
+	type result struct {
+		Class            string             `json:"class"`
+		Dist             map[string]float64 `json:"dist"`
+		MembersEvaluated int                `json:"membersEvaluated"`
+	}
+	var fullResp, earlyResp struct {
+		Results []result `json:"results"`
+	}
+	decodeBody(t, postJSON(t, fullURL+"/classify", body), http.StatusOK, &fullResp)
+	decodeBody(t, postJSON(t, earlyURL+"/classify", body), http.StatusOK, &earlyResp)
+	if len(earlyResp.Results) != len(tuples) || len(fullResp.Results) != len(tuples) {
+		t.Fatalf("%d early results, %d full, want %d", len(earlyResp.Results), len(fullResp.Results), len(tuples))
+	}
+	for i, er := range earlyResp.Results {
+		if er.Class != fullResp.Results[i].Class || er.MembersEvaluated != 1 || er.Dist != nil {
+			t.Fatalf("tuple %d: early exit %+v, full evaluation class %q", i, er, fullResp.Results[i].Class)
+		}
+	}
+
+	res, err := http.Post(earlyURL+"/classify/stream", "application/x-ndjson", strings.NewReader(strings.Join(tuples, "\n")+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	dec := json.NewDecoder(res.Body)
+	lines := 0
+	for ; dec.More(); lines++ {
+		var sr modelio.StreamResult
+		if err := dec.Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		if lines >= len(tuples) || sr.Error != "" || sr.Class != fullResp.Results[lines].Class || sr.MembersEvaluated != 1 || sr.Dist != nil {
+			t.Fatalf("stream line %d: %+v", lines+1, sr)
+		}
+	}
+	if lines != len(tuples) {
+		t.Fatalf("stream answered %d lines, want %d", lines, len(tuples))
 	}
 }
 

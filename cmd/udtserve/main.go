@@ -25,11 +25,12 @@
 // with model paths relative to the manifest's directory. Per-model
 // maxStreams is a QoS budget layered under the global -max-streams cap.
 //
-// -early-exit (ensemble models only) switches prediction to staged early
-// exit: members are evaluated in descending vote-weight order and evaluation
-// stops once the leading class can no longer be overtaken. Predicted classes
-// are byte-identical to full evaluation; responses carry membersEvaluated
-// instead of a distribution, and /metrics aggregates the counts.
+// -early-exit switches prediction to staged early exit: members are
+// evaluated in descending vote-weight order and evaluation stops once the
+// leading class can no longer be overtaken. Predicted classes are
+// byte-identical to full evaluation; responses carry membersEvaluated
+// instead of a distribution, and /metrics aggregates the counts. A single
+// tree is a one-member forest and always reports membersEvaluated 1.
 //
 // Endpoints:
 //
@@ -143,7 +144,6 @@ import (
 
 	"udt"
 	"udt/internal/cliutil"
-	"udt/internal/core"
 	"udt/internal/eval"
 	"udt/internal/forest"
 	"udt/internal/modelio"
@@ -171,7 +171,7 @@ func run(ctx context.Context, args []string) error {
 	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "HTTP server write timeout")
 	watch := fs.Duration("watch", 0, "poll every model file at this interval and hot-reload on change (0 = disabled)")
 	maxStreams := fs.Int("max-streams", 0, "max concurrent /classify/stream requests across all models; excess get 503 + Retry-After (0 = unlimited)")
-	earlyExit := fs.Bool("early-exit", false, "predict with staged early exit (ensemble models only): byte-identical classes, no distributions, membersEvaluated reported")
+	earlyExit := fs.Bool("early-exit", false, "predict with staged early exit: byte-identical classes, no distributions, membersEvaluated reported")
 	traceSample := fs.Int("trace-sample", 0, "trace every Nth request: span timings into /metrics plus one JSON access-log line on stderr (0 = off)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	version := fs.Bool("version", false, "print build info and exit")
@@ -211,9 +211,8 @@ func run(ctx context.Context, args []string) error {
 		path = *models
 	}
 	s, err := newServerOpts(registry.Options{
-		Path:          path,
-		Shadow:        *shadowPath,
-		RequireStaged: *earlyExit,
+		Path:   path,
+		Shadow: *shadowPath,
 	}, *workers, *earlyExit)
 	if err != nil {
 		return err
@@ -333,7 +332,7 @@ func newServer(modelPath string, workers int) (*server, error) {
 
 // newServerMode is newServer plus the early-exit prediction mode.
 func newServerMode(modelPath string, workers int, earlyExit bool) (*server, error) {
-	return newServerOpts(registry.Options{Path: modelPath, RequireStaged: earlyExit}, workers, earlyExit)
+	return newServerOpts(registry.Options{Path: modelPath}, workers, earlyExit)
 }
 
 // newServerOpts builds the server over a model registry: a single file, a
@@ -554,9 +553,8 @@ func (s *server) classifyEntry(e *registry.Entry, w http.ResponseWriter, r *http
 	var dists [][]float64
 	tr.Begin(obs.SpanClassify)
 	if s.earlyExit {
-		// The registry guarantees every served model is Staged in this mode.
 		var evaluated []int
-		preds, evaluated = am.Model.(modelio.Staged).PredictBatchEarlyExit(tuples, s.workers)
+		preds, evaluated = am.Model.PredictBatchEarlyExit(tuples, s.workers)
 		s.mtr.observeEarlyExit(evaluated)
 		results = make([]resultJSON, len(preds))
 		members := 0
@@ -694,7 +692,7 @@ func (s *server) classifyStreamEntry(e *registry.Entry, w http.ResponseWriter, r
 			s.mtr.tuples.Add(1)
 			e.Metrics.Tuples.Add(1)
 			if s.earlyExit {
-				class, k := am.Model.(modelio.Staged).PredictEarlyExit(tu)
+				class, k := am.Model.PredictEarlyExit(tu)
 				s.mtr.earlyExitPredictions.Add(1)
 				s.mtr.earlyExitMembers.Add(int64(k))
 				if e.ShadowPath != "" {
@@ -825,19 +823,21 @@ func (s *server) healthzEntry(e *registry.Entry, w http.ResponseWriter) {
 		// The on-disk container the model was loaded from: "json" or
 		// "binary" (mmap-served). Operators verifying a binary rollout read
 		// this field.
-		"container": modelio.ContainerFormat(am.Model),
+		"container": am.Model.Format,
+		"nodes":     am.Model.Stats().Nodes,
 	}
 	if e.ShadowPath != "" {
 		resp["shadow"] = e.ShadowPath
 	}
-	// AsForest/TreeSource rather than concrete types: binary-loaded models
-	// are wrapper types carrying their mapping.
-	if m, ok := modelio.AsForest(am.Model); ok {
+	// A tree reports as the single-tree document it is stored as; the
+	// ensemble fields describe forest containers only.
+	if m := am.Model; m.Kind() == forest.KindTree {
+		resp["format"] = "tree"
+	} else {
 		resp["format"] = "forest"
 		resp["formatVersion"] = forest.Version
 		resp["kind"] = m.Kind()
 		resp["trees"] = m.NumTrees()
-		resp["nodes"] = m.Stats().Nodes
 		if m.Kind() == forest.KindBoosted {
 			// Uniform bagged weights carry no information; boosted alphas are
 			// the model's vote structure, worth surfacing to operators.
@@ -846,9 +846,6 @@ func (s *server) healthzEntry(e *registry.Entry, w http.ResponseWriter) {
 		if m.OOB.Evaluated > 0 {
 			resp["oob"] = m.OOB
 		}
-	} else if ts, ok := am.Model.(interface{ Stats() core.BuildStats }); ok {
-		resp["format"] = "tree"
-		resp["nodes"] = ts.Stats().Nodes
 	}
 	reply(w, resp)
 }

@@ -928,7 +928,7 @@ func TestWatchReload(t *testing.T) {
 		}
 	}
 	am := waitGen(2)
-	if _, ok := am.Model.(*forest.Forest); !ok {
+	if am.Model.Kind() == forest.KindTree {
 		t.Fatalf("watch reloaded the wrong model: %s", am.Model.Describe())
 	}
 	am.Release()
@@ -943,7 +943,7 @@ func TestWatchReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	am = waitGen(3)
-	if _, ok := am.Model.(*modelio.TreeModel); !ok {
+	if am.Model.Kind() != forest.KindTree {
 		t.Fatalf("same-mtime replace loaded the wrong model: %s", am.Model.Describe())
 	}
 	am.Release()

@@ -115,6 +115,9 @@ func TestRegistryRoutesAndMetricsIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	line, err := bufio.NewReader(sres.Body).ReadString('\n')
+	// Drain to EOF: the server ends the response only after the middleware
+	// has recorded the stream request, so the scrape below sees it.
+	io.Copy(io.Discard, sres.Body)
 	sres.Body.Close()
 	if err != nil || !strings.Contains(line, `"hi"`) {
 		t.Fatalf("alpha stream line = %q, %v", line, err)

@@ -127,26 +127,24 @@ func determinismKinds(ds *udt.Dataset) []struct {
 	}
 }
 
+// treeForest wraps a single tree as the one-member forest it is served as.
+func treeForest(tree *udt.Tree) (*udt.Forest, error) {
+	return forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
+}
+
 // encodeBinaryModel renders any trained model kind to its binary container
 // bytes.
 func encodeBinaryModel(t *testing.T, m any) []byte {
 	t.Helper()
+	if tree, ok := m.(*udt.Tree); ok {
+		var err error
+		if m, err = treeForest(tree); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
-	switch m := m.(type) {
-	case *udt.Tree:
-		compiled, err := m.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := binfmt.EncodeTree(&buf, compiled, m.Stats); err != nil {
-			t.Fatal(err)
-		}
-	case *udt.Forest:
-		if err := binfmt.EncodeForest(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-	default:
-		t.Fatalf("unexpected model type %T", m)
+	if err := binfmt.EncodeForest(&buf, m.(*udt.Forest)); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -209,7 +207,7 @@ func TestBinaryRoundTripPredictionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var bin bytes.Buffer
-			if err := modelio.EncodeBinary(&bin, fromJSON); err != nil {
+			if err := binfmt.EncodeForest(&bin, fromJSON.Forest); err != nil {
 				t.Fatal(err)
 			}
 			fromBinary, err := modelio.Decode(bin.Bytes())
@@ -218,15 +216,7 @@ func TestBinaryRoundTripPredictionParity(t *testing.T) {
 			}
 			// Back to JSON: a tree decompiles to its source form, ensembles
 			// marshal directly; either way the result must still decode.
-			var doc any = fromBinary
-			if src, ok := fromBinary.(modelio.TreeSource); ok {
-				tree, err := src.SourceTree()
-				if err != nil {
-					t.Fatal(err)
-				}
-				doc = tree
-			}
-			jsonAgain, err := json.Marshal(doc)
+			jsonAgain, err := json.Marshal(fromBinary.Forest)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +227,7 @@ func TestBinaryRoundTripPredictionParity(t *testing.T) {
 
 			for i, tu := range probes {
 				want := fromJSON.Classify(tu)
-				for hop, mdl := range map[string]modelio.Model{
+				for hop, mdl := range map[string]*modelio.Model{
 					"binary":     fromBinary,
 					"json-again": backToJSON,
 				} {
@@ -310,8 +300,9 @@ func TestStagedPrefixMatrix(t *testing.T) {
 
 // TestEarlyExitDeterminismMatrix is the early-exit row: predictions and
 // members-evaluated counts must be byte-identical across worker counts and
-// re-runs, and predictions must equal full evaluation — for both ensemble
-// kinds. CI runs this under -race, so a scheduling-dependent divergence
+// re-runs, and predictions must equal full evaluation — for every model
+// kind, a single tree (one member, so always exactly one evaluated)
+// included. CI runs this under -race, so a scheduling-dependent divergence
 // shows up either here or as a race report.
 func TestEarlyExitDeterminismMatrix(t *testing.T) {
 	ds := determinismDataset(t)
@@ -321,6 +312,16 @@ func TestEarlyExitDeterminismMatrix(t *testing.T) {
 		name  string
 		train func() (*udt.Forest, error)
 	}{
+		{
+			name: "single tree",
+			train: func() (*udt.Forest, error) {
+				tree, err := udt.Build(ds, udt.Config{MinWeight: 2, PostPrune: true})
+				if err != nil {
+					return nil, err
+				}
+				return treeForest(tree)
+			},
+		},
 		{
 			name: "bagged forest",
 			train: func() (*udt.Forest, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,8 +72,19 @@ func sameDist(t *testing.T, what string, i int, got, want []float64) {
 	}
 }
 
+// treeForest wraps a single tree as the one-member KindTree forest.
+func treeForest(t testing.TB, tree *core.Tree) *forest.Forest {
+	t.Helper()
+	f, err := forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestTreeRoundTrip: encode a single tree, load it via mmap and via the slab
-// path, and require byte-identical classifications on training tuples.
+// path, and require classifications byte-identical to the tree's own
+// compiled engine on training tuples.
 func TestTreeRoundTrip(t *testing.T) {
 	ds := testDataset(3, 180)
 	tree, err := core.Build(ds, core.Config{MinWeight: 1})
@@ -83,18 +95,18 @@ func TestTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeTree(b, compiled, tree.Stats) })
+	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeForest(b, treeForest(t, tree)) })
 
 	c, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Kind() != KindTree || c.Compiled == nil || c.Forest != nil {
-		t.Fatalf("loaded kind %q, compiled=%v forest=%v", c.Kind(), c.Compiled != nil, c.Forest != nil)
+	if k, n := c.Forest.Kind(), c.Forest.NumTrees(); k != forest.KindTree || n != 1 {
+		t.Fatalf("loaded kind %q with %d members, want a one-member tree", k, n)
 	}
-	if c.TreeStats.Nodes != tree.Stats.Nodes || c.TreeStats.Depth != tree.Stats.Depth {
-		t.Fatalf("tree stats %+v, want %+v", c.TreeStats, tree.Stats)
+	if s := c.Forest.Stats(); s.Nodes != tree.Stats.Nodes || s.Depth != tree.Stats.Depth {
+		t.Fatalf("tree stats %+v, want %+v", s, tree.Stats)
 	}
 	img, err := os.ReadFile(path)
 	if err != nil {
@@ -109,8 +121,39 @@ func TestTreeRoundTrip(t *testing.T) {
 	}
 	for i, tu := range ds.Tuples {
 		want := compiled.Classify(tu)
-		sameDist(t, "mmap", i, c.Compiled.Classify(tu), want)
-		sameDist(t, "slab", i, slab.Compiled.Classify(tu), want)
+		sameDist(t, "mmap", i, c.Forest.Classify(tu), want)
+		sameDist(t, "slab", i, slab.Forest.Classify(tu), want)
+	}
+}
+
+// TestTreeContainerRule: a tree container holds exactly one member of vote
+// weight 1 with no OOB statistics. Relabelling valid ensemble containers as
+// trees must be refused, with the violated rule named.
+func TestTreeContainerRule(t *testing.T) {
+	ds := testDataset(19, 120)
+	cfg := core.Config{MinWeight: 1}
+	boosted, err := boost.Train(ds, boost.Config{Rounds: 1, TreeConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		f    *forest.Forest
+		want string
+	}{
+		"two members":  {mustTrain(t, ds, forest.Config{Trees: 2, Seed: 1, TreeConfig: cfg}), "exactly one member"},
+		"OOB section":  {mustTrain(t, ds, forest.Config{Trees: 1, Seed: 1, TreeConfig: cfg}), "out-of-bag"},
+		"alpha weight": {boosted, "vote weight"},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeForest(&buf, tc.f); err != nil {
+			t.Fatal(err)
+		}
+		img := buf.Bytes()
+		img[len(Magic)+4] = byte(kindTree)
+		_, err := DecodeBytes(img)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s relabelled as a tree: error %v, want one naming %q", name, err, tc.want)
+		}
 	}
 }
 
@@ -136,8 +179,8 @@ func TestForestRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if c.Kind() != f.Kind() || c.Forest == nil {
-				t.Fatalf("loaded kind %q, want %q", c.Kind(), f.Kind())
+			if c.Forest.Kind() != f.Kind() {
+				t.Fatalf("loaded kind %q, want %q", c.Forest.Kind(), f.Kind())
 			}
 			g := c.Forest
 			if g.OOB != f.OOB {
@@ -311,11 +354,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeTree(b, compiled, tree.Stats) })
+	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeForest(b, treeForest(t, tree)) })
 
 	mapped, err := Load(path)
 	if err != nil {

@@ -12,21 +12,15 @@ import (
 	"udt/internal/forest"
 )
 
-// Container is a decoded binary model. Exactly one of Forest and Compiled is
-// non-nil, matching Kind. When the container was mmap'd, the model's arrays
+// Container is a decoded binary model: a forest of any kind, a tree
+// container included. When the container was mmap'd, the model's arrays
 // alias the mapping: Close unmaps it, after which the model must not be
 // used. Slab-backed containers have a no-op Close.
 type Container struct {
-	Forest    *forest.Forest  // ensemble kinds
-	Compiled  *core.Compiled  // KindTree
-	TreeStats core.BuildStats // KindTree build statistics from the stats section
-	kind      string
+	Forest    *forest.Forest
 	closer    func() error // immutable after decode; consumed exactly once by Close
 	closeOnce sync.Once
 }
-
-// Kind reports the model kind: KindTree, KindBagged, or KindBoosted.
-func (c *Container) Kind() string { return c.kind }
 
 // Mapped reports whether the container was loaded over an mmap'd file (true)
 // or allocated memory (false). The answer does not change on Close.
@@ -226,40 +220,15 @@ func decode(img []byte, closer func() error) (*Container, error) {
 		}
 	}
 
-	c := &Container{closer: closer}
-	switch hdr.modelKind {
-	case kindTree:
-		if nm != 1 {
-			return nil, errAt(off64(len(Magic)), "tree container has %d members, want 1", nm)
-		}
-		if weights[0] != 1 {
-			return nil, errAt(secs[weightsSection].off, "tree member weight %v, want 1", weights[0])
-		}
-		if members[0].NumIdx != nil || members[0].CatIdx != nil {
-			return nil, errAt(secs[statsSection].off, "tree member carries projection maps")
-		}
-		if oob != nil {
-			return nil, errAt(secs[oobSection].off, "tree container carries OOB statistics")
-		}
-		c.kind = KindTree
-		c.Compiled = members[0].Compiled
-		c.TreeStats = members[0].Stats
-	case kindBagged, kindBoosted:
-		c.kind = KindBagged
-		if hdr.modelKind == kindBoosted {
-			c.kind = KindBoosted
-		}
-		var oobStats forest.OOBStats
-		if oob != nil {
-			oobStats = *oob
-		}
-		f, err := forest.FromCompiled(classes, numAttrs, catAttrs, members, c.kind, oobStats)
-		if err != nil {
-			return nil, errAt(off64(len(Magic)), "assemble ensemble: %v", err)
-		}
-		c.Forest = f
+	var oobStats forest.OOBStats
+	if oob != nil {
+		oobStats = *oob
 	}
-	return c, nil
+	f, err := forest.FromCompiled(classes, numAttrs, catAttrs, members, kindNames[hdr.modelKind], oobStats)
+	if err != nil {
+		return nil, errAt(off64(len(Magic)), "assemble ensemble: %v", err)
+	}
+	return &Container{Forest: f, closer: closer}, nil
 }
 
 // parseHeader validates the magic and fixed header.
@@ -286,9 +255,7 @@ func parseHeader(img []byte) (header, error) {
 	h.fileSize = binary.LittleEndian.Uint64(b[48:])
 
 	at := func(field int) off64 { return off64(len(Magic) + field) }
-	switch h.modelKind {
-	case kindTree, kindBagged, kindBoosted:
-	default:
+	if h.modelKind >= uint32(len(kindNames)) {
 		return h, errAt(at(4), "unknown model kind %d", h.modelKind)
 	}
 	if h.classes == 0 || h.classes > maxClasses {

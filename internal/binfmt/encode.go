@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"udt/internal/core"
 	"udt/internal/data"
@@ -32,15 +33,11 @@ type schemaAttr struct {
 	Domain []string `json:"domain,omitempty"`
 }
 
-// EncodeForest writes the ensemble as a binary container.
+// EncodeForest writes the model as a binary container; its kind picks the
+// header kind, so a KindTree forest writes a tree container.
 func EncodeForest(w io.Writer, f *forest.Forest) error {
-	var mk uint32
-	switch f.Kind() {
-	case forest.KindBagged:
-		mk = kindBagged
-	case forest.KindBoosted:
-		mk = kindBoosted
-	default:
+	mk := slices.Index(kindNames[:], f.Kind())
+	if mk < 0 {
 		return fmt.Errorf("binfmt: unknown ensemble kind %q", f.Kind())
 	}
 	var oob *forest.OOBStats
@@ -48,14 +45,7 @@ func EncodeForest(w io.Writer, f *forest.Forest) error {
 		o := f.OOB
 		oob = &o
 	}
-	return encodeModel(w, mk, f.Classes, f.NumAttrs, f.CatAttrs, f.MemberSnapshots(), oob)
-}
-
-// EncodeTree writes a single-tree model as a binary container: one member
-// with unit weight and no projection.
-func EncodeTree(w io.Writer, c *core.Compiled, stats core.BuildStats) error {
-	members := []forest.CompiledMember{{Compiled: c, Weight: 1, Stats: stats}}
-	return encodeModel(w, kindTree, c.Classes, c.NumAttrs, c.CatAttrs, members, nil)
+	return encodeModel(w, uint32(mk), f.Classes, f.NumAttrs, f.CatAttrs, f.MemberSnapshots(), oob)
 }
 
 // arena accumulates the global hash-consed node arrays during encoding.

@@ -31,7 +31,11 @@
 // every descent terminating, no matter how the file was crafted.
 package binfmt
 
-import "fmt"
+import (
+	"fmt"
+
+	"udt/internal/forest"
+)
 
 // Magic is the 8-byte file signature; the first bytes of every container.
 // modelio sniffs it to route Load between the binary and JSON decoders.
@@ -48,13 +52,13 @@ const (
 	kindBoosted uint32 = 2
 )
 
-// Kind names reported by Container.Kind, aligned with forest's kind
-// vocabulary plus the single-tree case.
-const (
-	KindTree    = "tree"
-	KindBagged  = "bagged"
-	KindBoosted = "boosted"
-)
+// kindNames maps each header kind onto forest's kind vocabulary. A tree
+// container holds a one-member forest; forest enforces that rule.
+var kindNames = [...]string{
+	kindTree:    forest.KindTree,
+	kindBagged:  forest.KindBagged,
+	kindBoosted: forest.KindBoosted,
+}
 
 // Section ids, in their required file order. Sections idxSection and
 // oobSection are optional; all others must be present exactly once.

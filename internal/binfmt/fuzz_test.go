@@ -32,12 +32,8 @@ func FuzzDecodeBinary(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		f.Fatal(err)
-	}
 	var treeImg bytes.Buffer
-	if err := EncodeTree(&treeImg, compiled, tree.Stats); err != nil {
+	if err := EncodeForest(&treeImg, treeForest(f, tree)); err != nil {
 		f.Fatal(err)
 	}
 
@@ -112,21 +108,12 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		// The image decoded; the model must serve. An all-missing tuple
 		// forces the widest possible descent through every member.
-		var dist []float64
-		var classes int
-		switch {
-		case c.Compiled != nil:
-			classes = len(c.Compiled.Classes)
-			dist = c.Compiled.Classify(missingTuple(len(c.Compiled.NumAttrs), len(c.Compiled.CatAttrs)))
-		case c.Forest != nil:
-			cls, num, cat := c.Forest.Schema()
-			classes = len(cls)
-			dist = c.Forest.Classify(missingTuple(len(num), len(cat)))
-		default:
-			t.Fatalf("decoded container kind %q has neither forest nor compiled model", c.Kind())
+		if c.Forest == nil {
+			t.Fatal("decoded container holds no model")
 		}
-		if len(dist) != classes {
-			t.Fatalf("probe classification returned %d masses for %d classes", len(dist), classes)
+		classes, num, cat := c.Forest.Schema()
+		if dist := c.Forest.Classify(missingTuple(len(num), len(cat))); len(dist) != len(classes) {
+			t.Fatalf("probe classification returned %d masses for %d classes", len(dist), len(classes))
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"udt/internal/binfmt"
 	"udt/internal/core"
 	"udt/internal/forest"
 	"udt/internal/modelio"
@@ -51,7 +52,7 @@ func ModelLoad(o Options, trees int) ([]LoadRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	compiled, err := tree.Compile()
+	treeModel, err := forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
 	if err != nil {
 		return nil, err
 	}
@@ -79,16 +80,15 @@ func ModelLoad(o Options, trees int) ([]LoadRow, error) {
 		path := filepath.Join(dir, name)
 		return path, os.WriteFile(path, blob, 0o644)
 	}
-	writeBinary := func(name string, m modelio.Model) (string, error) {
+	writeBinary := func(name string, m *forest.Forest) (string, error) {
 		var buf bytes.Buffer
-		if err := modelio.EncodeBinary(&buf, m); err != nil {
+		if err := binfmt.EncodeForest(&buf, m); err != nil {
 			return "", err
 		}
 		path := filepath.Join(dir, name)
 		return path, os.WriteFile(path, buf.Bytes(), 0o644)
 	}
 
-	treeModel := &modelio.TreeModel{Tree: tree, Compiled: compiled}
 	cells := []struct {
 		model string
 		write func() (string, error)
@@ -126,7 +126,7 @@ func ModelLoad(o Options, trees int) ([]LoadRow, error) {
 			start = time.Now()
 			got := m.Classify(probe)
 			first := time.Since(start)
-			if err := modelio.Close(m); err != nil {
+			if err := m.Close(); err != nil {
 				return nil, err
 			}
 			dists[i] = got

@@ -25,17 +25,15 @@ type CompiledMember struct {
 	Stats    core.BuildStats
 }
 
-// FromCompiled assembles a servable ensemble from already-compiled members —
+// FromCompiled assembles a servable model from already-compiled members —
 // the constructor the binary model format uses, where there are no pointer
-// trees to adopt. Validation matches the JSON path: the kind must be known,
-// every weight positive and finite, every member's class vocabulary and
-// (possibly projected) attribute schema in agreement with the forest's.
+// trees to adopt. Validation matches the JSON path: every weight positive
+// and finite, every member's class vocabulary and (possibly projected)
+// attribute schema in agreement with the forest's, and the kind's
+// structural rule (see checkKind).
 func FromCompiled(classes []string, numAttrs, catAttrs []data.Attribute, members []CompiledMember, kind string, oob OOBStats) (*Forest, error) {
 	if len(members) == 0 {
 		return nil, errors.New("forest: ensemble needs at least one member")
-	}
-	if kind != KindBagged && kind != KindBoosted {
-		return nil, fmt.Errorf("forest: unknown ensemble kind %q", kind)
 	}
 	if len(classes) == 0 {
 		return nil, errors.New("forest: ensemble needs a class vocabulary")
@@ -66,6 +64,9 @@ func FromCompiled(classes []string, numAttrs, catAttrs []data.Attribute, members
 			weight:   cm.Weight,
 			stats:    cm.Stats,
 		}
+	}
+	if err := f.checkKind(); err != nil {
+		return nil, err
 	}
 	f.initStaged()
 	return f, nil

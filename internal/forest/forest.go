@@ -1,8 +1,10 @@
-// Package forest implements bagged ensembles of uncertain decision trees.
-// Each member is trained on a bootstrap resample of the training tuples,
-// optionally restricted to a random attribute subset, and kept in compiled
-// (flat-array) form, so inference is the same zero-allocation descent the
-// single-tree serving path uses — repeated per tree and averaged.
+// Package forest implements bagged ensembles of uncertain decision trees,
+// and is the one runtime model type: a boosted ensemble is a forest with
+// weighted votes, and a single tree is a forest of one member (KindTree).
+// Each bagged member is trained on a bootstrap resample of the training
+// tuples, optionally restricted to a random attribute subset, and kept in
+// compiled (flat-array) form, so inference is the zero-allocation compiled
+// descent — repeated per member and averaged.
 //
 // Forest voting is distribution averaging: the classification distribution
 // of the ensemble is the mean of the member distributions, the same
@@ -59,7 +61,11 @@ type OOBStats struct {
 }
 
 // Ensemble kinds: how the members were trained and how their votes combine.
+// A single decision tree is the one-member case: its forest classifies
+// exactly like the tree (one vote of weight 1 divides by exactly 1.0), so
+// every model — tree or ensemble — is served, staged and stored as a Forest.
 const (
+	KindTree    = "tree"    // one member of vote weight 1: a single decision tree
 	KindBagged  = "bagged"  // uniform votes over bootstrap-resampled members
 	KindBoosted = "boosted" // SAMME vote weights from internal/boost
 )
@@ -81,9 +87,9 @@ type member struct {
 	stats    core.BuildStats
 }
 
-// Forest is a trained ensemble — bagged (uniform votes) or boosted
-// (weighted votes). It is immutable after Train (or UnmarshalJSON) and safe
-// for concurrent use.
+// Forest is a trained model — a single tree, or an ensemble with bagged
+// (uniform) or boosted (weighted) votes. It is immutable after construction
+// and safe for concurrent use.
 type Forest struct {
 	Classes  []string
 	NumAttrs []data.Attribute
@@ -91,7 +97,7 @@ type Forest struct {
 	OOB      OOBStats
 	Config   Config // the training configuration; zero for loaded models
 
-	kind    string // KindBagged or KindBoosted; "" means KindBagged
+	kind    string // KindTree, KindBagged or KindBoosted; "" means KindBagged
 	members []member
 
 	// Staged-evaluation state, precomputed by initStaged (see staged.go).
@@ -103,8 +109,8 @@ type Forest struct {
 // NumTrees reports the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.members) }
 
-// Kind reports how the ensemble votes: KindBagged (uniform) or KindBoosted
-// (weighted).
+// Kind reports what the model is: KindTree (a single tree), KindBagged
+// (uniform votes) or KindBoosted (weighted votes).
 func (f *Forest) Kind() string {
 	if f.kind == "" {
 		return KindBagged
@@ -132,17 +138,15 @@ type WeightedTree struct {
 	Weight   float64
 }
 
-// FromTrees assembles an ensemble from already-built trees and their vote
+// FromTrees assembles a model from already-built trees and their vote
 // weights — the constructor internal/boost uses to package a boosted run as
-// a servable Forest. Every tree must share the first tree's schema (boosted
-// members always see every attribute, so there are no index maps), and every
-// weight must be positive and finite.
+// a servable Forest, and the one that wraps a single tree as KindTree. Every
+// tree must share the first tree's schema (boosted members always see every
+// attribute, so there are no index maps), every weight must be positive and
+// finite, and the kind's structural rule must hold (see checkKind).
 func FromTrees(members []WeightedTree, kind string) (*Forest, error) {
 	if len(members) == 0 {
 		return nil, errors.New("forest: ensemble needs at least one tree")
-	}
-	if kind != KindBagged && kind != KindBoosted {
-		return nil, fmt.Errorf("forest: unknown ensemble kind %q", kind)
 	}
 	first := members[0].Tree
 	if first == nil {
@@ -162,8 +166,49 @@ func FromTrees(members []WeightedTree, kind string) (*Forest, error) {
 		}
 		f.members[t] = m
 	}
+	if err := f.checkKind(); err != nil {
+		return nil, err
+	}
 	f.initStaged()
 	return f, nil
+}
+
+// checkKind enforces the model kind's structural rule, the one place it is
+// checked for every constructor that takes a kind. A tree has exactly one
+// member, of vote weight 1, with no attribute projection and no out-of-bag
+// statistics: then it classifies, describes and serialises exactly as the
+// single tree it wraps.
+func (f *Forest) checkKind() error {
+	switch f.kind {
+	case KindBagged, KindBoosted:
+		return nil
+	case KindTree:
+	default:
+		return fmt.Errorf("forest: unknown ensemble kind %q", f.kind)
+	}
+	if len(f.members) != 1 {
+		return fmt.Errorf("forest: a tree has exactly one member, got %d", len(f.members))
+	}
+	switch m := &f.members[0]; {
+	case m.weight != 1:
+		return fmt.Errorf("forest: a tree's vote weight is 1, got %v", m.weight)
+	case m.numIdx != nil || m.catIdx != nil:
+		return errors.New("forest: a tree carries no attribute projection")
+	case f.OOB != (OOBStats{}):
+		return errors.New("forest: a tree carries no out-of-bag statistics")
+	}
+	return nil
+}
+
+// MemberTree returns member t's pointer-linked tree. Members loaded from the
+// binary format keep only the compiled engine; theirs is rebuilt by
+// Compiled.Decompile on every call.
+func (f *Forest) MemberTree(t int) (*core.Tree, error) {
+	m := &f.members[t]
+	if m.tree != nil {
+		return m.tree, nil
+	}
+	return m.compiled.Decompile()
 }
 
 // Members returns the ensemble's trees and their vote weights in member
@@ -179,8 +224,7 @@ func (f *Forest) Members() []WeightedTree {
 	return out
 }
 
-// Schema returns the class labels and attribute schema, mirroring the
-// single-tree model metadata.
+// Schema returns the class labels and attribute schema.
 func (f *Forest) Schema() (classes []string, num, cat []data.Attribute) {
 	return f.Classes, f.NumAttrs, f.CatAttrs
 }
@@ -206,7 +250,10 @@ func (f *Forest) Stats() core.BuildStats {
 func (f *Forest) Describe() string {
 	s := f.Stats()
 	name := "forest"
-	if f.Kind() == KindBoosted {
+	switch f.Kind() {
+	case KindTree:
+		return fmt.Sprintf("tree (%d nodes, depth %d)", s.Nodes, s.Depth)
+	case KindBoosted:
 		name = "boosted ensemble"
 	}
 	return fmt.Sprintf("%s (%d trees, %d nodes, depth %d)", name, len(f.members), s.Nodes, s.Depth)

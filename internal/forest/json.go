@@ -19,6 +19,11 @@ import (
 // votes are uniform ("bagged") or SAMME alphas ("boosted"). Version 1
 // containers — the PR 3 format, which had no weights — still decode, every
 // member receiving the implicit uniform weight 1.
+//
+// A KindTree forest has exactly one JSON form: the legacy single-tree
+// document itself ({"classes", "numAttrs", "catAttrs", "root"}, no version
+// and no trees array), so a tree model file and its forest are the same
+// bytes. A container that declares kind "tree" is therefore rejected.
 
 // Version is the forest container format version this package writes.
 // Decoding accepts Version and legacyVersion.
@@ -29,13 +34,16 @@ const Version = 2
 const legacyVersion = 1
 
 type forestJSON struct {
-	Version  int          `json:"version"`
+	Version  *int         `json:"version"`
 	Kind     string       `json:"kind,omitempty"` // KindBagged (or absent) | KindBoosted
 	Classes  []string     `json:"classes"`
 	NumAttrs []attrJSON   `json:"numAttrs"`
 	CatAttrs []attrJSON   `json:"catAttrs,omitempty"`
 	OOB      *OOBStats    `json:"oob,omitempty"`
 	Trees    []memberJSON `json:"trees"`
+	// Root marks a single-tree document: present only there, it routes the
+	// decode to the tree path without a second pass over containers.
+	Root json.RawMessage `json:"root,omitempty"`
 }
 
 type attrJSON struct {
@@ -56,10 +64,19 @@ type memberJSON struct {
 	Tree   *core.Tree `json:"tree"`
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler: a KindTree forest writes its
+// tree's single-tree document, every other kind the versioned container.
 func (f *Forest) MarshalJSON() ([]byte, error) {
+	if f.Kind() == KindTree {
+		tree, err := f.MemberTree(0)
+		if err != nil {
+			return nil, fmt.Errorf("forest: %w", err)
+		}
+		return json.Marshal(tree)
+	}
+	version := Version
 	doc := forestJSON{
-		Version: Version,
+		Version: &version,
 		Kind:    f.Kind(),
 		Classes: f.Classes,
 		Trees:   make([]memberJSON, len(f.members)),
@@ -77,33 +94,42 @@ func (f *Forest) MarshalJSON() ([]byte, error) {
 	for t := range f.members {
 		m := &f.members[t]
 		w := m.weight
-		tree := m.tree
-		if tree == nil {
-			// Binary-loaded members carry only the compiled engine;
-			// reconstruct the pointer tree for the interchange format.
-			var err error
-			if tree, err = m.compiled.Decompile(); err != nil {
-				return nil, fmt.Errorf("forest: tree %d: %w", t, err)
-			}
+		tree, err := f.MemberTree(t)
+		if err != nil {
+			return nil, fmt.Errorf("forest: tree %d: %w", t, err)
 		}
 		doc.Trees[t] = memberJSON{NumIdx: m.numIdx, CatIdx: m.catIdx, Weight: &w, Tree: tree}
 	}
 	return json.Marshal(doc)
 }
 
-// UnmarshalJSON implements json.Unmarshaler, validating the container
-// version, member schemas, vote weights and class vocabularies, and
-// compiling every member so the loaded forest serves immediately.
+// UnmarshalJSON implements json.Unmarshaler. A single-tree document (a root,
+// no version, no trees array) decodes as a KindTree forest; anything else is
+// a container, whose version, member schemas, vote weights and class
+// vocabularies are validated. Every member is compiled, so the loaded
+// forest serves immediately.
 func (f *Forest) UnmarshalJSON(b []byte) error {
 	var doc forestJSON
 	if err := json.Unmarshal(b, &doc); err != nil {
 		return err
 	}
-	if doc.Version != Version && doc.Version != legacyVersion {
-		return fmt.Errorf("forest: unknown container version %d (want %d or %d)", doc.Version, legacyVersion, Version)
+	if doc.Version == nil && doc.Trees == nil {
+		if doc.Root == nil {
+			return errors.New("forest: document is neither a tree (no root) nor a forest container (no version/trees)")
+		}
+		return f.unmarshalTree(b)
+	}
+	version := 0
+	if doc.Version != nil {
+		version = *doc.Version
+	}
+	if version != Version && version != legacyVersion {
+		return fmt.Errorf("forest: unknown container version %d (want %d or %d)", version, legacyVersion, Version)
 	}
 	switch doc.Kind {
 	case "", KindBagged, KindBoosted:
+	case KindTree:
+		return errors.New(`forest: a container cannot declare kind "tree"; a single tree is stored as its tree document`)
 	default:
 		return fmt.Errorf("forest: unknown ensemble kind %q", doc.Kind)
 	}
@@ -111,7 +137,7 @@ func (f *Forest) UnmarshalJSON(b []byte) error {
 	// declares "boosted" would decode with silently uniform weights — the
 	// exact vote-structure flattening the per-member weight check below
 	// exists to prevent.
-	if doc.Version == legacyVersion && doc.Kind != "" {
+	if version == legacyVersion && doc.Kind != "" {
 		return fmt.Errorf("forest: version %d containers carry no ensemble kind (got %q)", legacyVersion, doc.Kind)
 	}
 	if len(doc.Trees) == 0 {
@@ -141,10 +167,10 @@ func (f *Forest) UnmarshalJSON(b []byte) error {
 		// Weights are all-or-nothing per version: a v1 document that
 		// smuggles one is malformed, and a v2 member without one would
 		// silently flatten a boosted model's vote structure to uniform.
-		if doc.Version == legacyVersion && mj.Weight != nil {
+		if version == legacyVersion && mj.Weight != nil {
 			return fmt.Errorf("forest: tree %d: version %d containers carry no weights", t, legacyVersion)
 		}
-		if doc.Version == Version && mj.Weight == nil {
+		if version == Version && mj.Weight == nil {
 			return fmt.Errorf("forest: tree %d: version %d members must carry a weight", t, Version)
 		}
 		m, err := f.restoreMember(mj, nil)
@@ -154,6 +180,26 @@ func (f *Forest) UnmarshalJSON(b []byte) error {
 		f.members[t] = m
 	}
 	f.initStaged()
+	return nil
+}
+
+// unmarshalTree decodes a legacy single-tree document into a KindTree
+// forest. Compile failures keep their own prefix: a valid document that
+// describes an invalid tree needs a different fix than a parse failure.
+func (f *Forest) unmarshalTree(b []byte) error {
+	tree := new(core.Tree)
+	if err := json.Unmarshal(b, tree); err != nil {
+		return err
+	}
+	compiled, err := tree.Compile()
+	if err != nil {
+		return fmt.Errorf("compile: %w", err)
+	}
+	g, err := FromTrees([]WeightedTree{{Tree: tree, Compiled: compiled, Weight: 1}}, KindTree)
+	if err != nil {
+		return err
+	}
+	*f = *g
 	return nil
 }
 

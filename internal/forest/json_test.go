@@ -177,11 +177,78 @@ func TestForestJSONErrors(t *testing.T) {
 	}
 }
 
-// TestForestJSONLegacySingleTreeRejected: a legacy single-tree document must
-// not silently decode as a forest (it has no version and no trees array).
-func TestForestJSONLegacySingleTreeRejected(t *testing.T) {
+// TestForestJSONLegacySingleTree: a legacy single-tree document (no version,
+// no trees array) decodes as a one-member KindTree forest that classifies
+// bit-identically to the tree, describes itself as the tree did, and
+// marshals back to the tree document byte for byte. A container declaring
+// kind "tree" is refused, so each kind has exactly one JSON form.
+func TestForestJSONLegacySingleTree(t *testing.T) {
+	ds := mixedDataset(rand.New(rand.NewSource(29)), 120, 2, 3)
+	tree, err := core.Build(ds, core.Config{MinWeight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeBlob, err := json.Marshal(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var f Forest
-	if err := json.Unmarshal([]byte(leafTree("a", "b")), &f); err == nil {
-		t.Fatal("single-tree document accepted as a forest container")
+	if err := json.Unmarshal(treeBlob, &f); err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind() != KindTree || f.NumTrees() != 1 || f.StageCount() != 1 {
+		t.Fatalf("decoded kind %q with %d members", f.Kind(), f.NumTrees())
+	}
+	want := fmt.Sprintf("tree (%d nodes, depth %d)", tree.Stats.Nodes, tree.Stats.Depth)
+	if got := f.Describe(); got != want {
+		t.Fatalf("Describe = %q, want %q", got, want)
+	}
+	back, err := json.Marshal(&f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back) != string(treeBlob) {
+		t.Fatal("KindTree forest does not marshal back to its tree document")
+	}
+	compiled, err := tree.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tu := range ds.Tuples {
+		got, want := f.Classify(tu), compiled.Classify(tu)
+		for c := range want {
+			if got[c] != want[c] {
+				t.Fatalf("tuple %d: forest %v, tree %v", i, got, want)
+			}
+		}
+		if p, k := f.PredictEarlyExit(tu); p != compiled.Predict(tu) || k != 1 {
+			t.Fatalf("tuple %d: early exit (%d, %d members), tree predicts %d", i, p, k, compiled.Predict(tu))
+		}
+	}
+
+	kinded := fmt.Sprintf(`{"version": 2, "kind": "tree", "classes": ["a", "b"], "numAttrs": [{"name": "A1"}], "trees": [{"weight": 1, "tree": %s}]}`,
+		leafTree("a", "b"))
+	var g Forest
+	if err := json.Unmarshal([]byte(kinded), &g); err == nil || !strings.Contains(err.Error(), `kind "tree"`) {
+		t.Fatalf("container declaring kind tree: error %v", err)
+	}
+}
+
+// TestTreeKindRule: FromTrees enforces the one-member, weight-1 rule of
+// KindTree, and a valid tree stages to exactly one member.
+func TestTreeKindRule(t *testing.T) {
+	trees := buildTrees(t, 2)
+	if _, err := FromTrees(weightedTrees(trees, []float64{1, 1}), KindTree); err == nil || !strings.Contains(err.Error(), "exactly one member") {
+		t.Errorf("two-member tree: error %v", err)
+	}
+	if _, err := FromTrees(weightedTrees(trees[:1], []float64{2}), KindTree); err == nil || !strings.Contains(err.Error(), "vote weight is 1") {
+		t.Errorf("weight-2 tree: error %v", err)
+	}
+	f, err := FromTrees(weightedTrees(trees[:1], []float64{1}), KindTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.EvalOrder(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("tree evaluation order %v", got)
 	}
 }

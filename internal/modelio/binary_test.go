@@ -2,21 +2,23 @@ package modelio
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"udt/internal/binfmt"
 	"udt/internal/core"
 	"udt/internal/forest"
 )
 
-// writeModel encodes the model in the given format to a temp file.
-func writeModel(t *testing.T, m Model, dir, name string) string {
+// writeModel encodes the model as a binary container in a temp file.
+func writeModel(t *testing.T, m *forest.Forest, dir, name string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeBinary(&buf, m); err != nil {
+	if err := binfmt.EncodeForest(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -35,15 +37,11 @@ func TestLoadBinaryAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
 	fr, err := forest.Train(ds, forest.Config{Trees: 5, Seed: 3, TreeConfig: core.Config{MinWeight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := &TreeModel{Tree: tree, Compiled: compiled}
+	tm := asTree(t, tree)
 	dir := t.TempDir()
 
 	treeBin := writeModel(t, tm, dir, "tree.udt")
@@ -53,28 +51,23 @@ func TestLoadBinaryAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Close(btm)
+	defer btm.Close()
 	bfm, err := Load(forestBin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Close(bfm)
+	defer bfm.Close()
 
-	if got := ContainerFormat(btm); got != FormatBinary {
-		t.Fatalf("tree container format %q, want %q", got, FormatBinary)
+	for name, m := range map[string]*Model{"tree": btm, "forest": bfm} {
+		if m.Format != FormatBinary {
+			t.Fatalf("%s container format %q, want %q", name, m.Format, FormatBinary)
+		}
 	}
-	if got := ContainerFormat(tm); got != FormatJSON {
-		t.Fatalf("JSON tree container format %q, want %q", got, FormatJSON)
+	if btm.Kind() != forest.KindTree || bfm.Kind() != forest.KindBagged {
+		t.Fatalf("binary kinds %q and %q, want tree and bagged", btm.Kind(), bfm.Kind())
 	}
-	if _, ok := AsForest(btm); ok {
-		t.Fatal("binary tree reported as forest")
-	}
-	g, ok := AsForest(bfm)
-	if !ok {
-		t.Fatal("binary forest not unwrapped by AsForest")
-	}
-	if g.NumTrees() != fr.NumTrees() {
-		t.Fatalf("%d trees, want %d", g.NumTrees(), fr.NumTrees())
+	if bfm.NumTrees() != fr.NumTrees() {
+		t.Fatalf("%d trees, want %d", bfm.NumTrees(), fr.NumTrees())
 	}
 	if btm.Describe() != tm.Describe() {
 		t.Fatalf("binary tree describes %q, JSON %q", btm.Describe(), tm.Describe())
@@ -95,16 +88,16 @@ func TestLoadBinaryAutoDetect(t *testing.T) {
 		}
 	}
 
-	// The binary forest keeps satisfying Staged with identical early exits.
-	sf, ok := bfm.(Staged)
-	if !ok {
-		t.Fatal("binary forest lost Staged")
-	}
+	// Binary models stage exactly like their sources: the forest's early
+	// exits, and the tree's single member.
 	for i, tu := range ds.Tuples[:20] {
 		wp, we := fr.PredictEarlyExit(tu)
-		gp, ge := sf.PredictEarlyExit(tu)
+		gp, ge := bfm.PredictEarlyExit(tu)
 		if wp != gp || we != ge {
 			t.Fatalf("tuple %d: early exit (%d,%d), want (%d,%d)", i, gp, ge, wp, we)
+		}
+		if p, k := btm.PredictEarlyExit(tu); p != tree.Predict(tu) || k != 1 {
+			t.Fatalf("tuple %d: tree early exit (%d,%d), want (%d,1)", i, p, k, tree.Predict(tu))
 		}
 	}
 }
@@ -117,13 +110,9 @@ func TestTreeSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := &TreeModel{Tree: tree, Compiled: compiled}
-	if src, err := tm.SourceTree(); err != nil || src != tree {
-		t.Fatalf("JSON SourceTree = (%p, %v), want the original tree", src, err)
+	tm := asTree(t, tree)
+	if src, err := tm.MemberTree(0); err != nil || src != tree {
+		t.Fatalf("JSON MemberTree = (%p, %v), want the original tree", src, err)
 	}
 
 	path := writeModel(t, tm, t.TempDir(), "tree.udt")
@@ -131,12 +120,8 @@ func TestTreeSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Close(bm)
-	src, ok := bm.(TreeSource)
-	if !ok {
-		t.Fatalf("%T does not implement TreeSource", bm)
-	}
-	decompiled, err := src.SourceTree()
+	defer bm.Close()
+	decompiled, err := bm.MemberTree(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +150,17 @@ func TestEncodeBinaryFromBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer Close(m)
+	defer m.Close()
 	var buf bytes.Buffer
-	if err := EncodeBinary(&buf, m); err != nil {
+	if err := binfmt.EncodeForest(&buf, m.Forest); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ContainerFormat(m2); got != FormatBinary {
-		t.Fatalf("re-encoded container format %q", got)
+	if m2.Format != FormatBinary {
+		t.Fatalf("re-encoded container format %q", m2.Format)
 	}
 	for i, tu := range ds.Tuples[:20] {
 		if got, want := m2.Predict(tu), fr.Predict(tu); got != want {
@@ -212,7 +197,7 @@ func TestLoadErrorsNamePathAndOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeBinary(&buf, fr); err != nil {
+	if err := binfmt.EncodeForest(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
 	badBin := filepath.Join(dir, "bad.udt")
@@ -231,16 +216,12 @@ func TestLoadErrorsNamePathAndOffset(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotentWrappers: modelio.Close must be nil-safe and idempotent
-// through the whole wrapper chain — tree and forest wrappers, concurrent
-// double close, typed-nil wrappers, and JSON models. Run under -race.
+// TestCloseIdempotentWrappers: Model.Close must be nil-safe and idempotent
+// for every model — binary trees and forests, concurrent double close, a nil
+// model, and JSON models. Run under -race.
 func TestCloseIdempotentWrappers(t *testing.T) {
 	ds := twoClassDataset(80)
 	tree, err := core.Build(ds, core.Config{MinWeight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled, err := tree.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +231,7 @@ func TestCloseIdempotentWrappers(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for name, path := range map[string]string{
-		"tree":   writeModel(t, &TreeModel{Tree: tree, Compiled: compiled}, dir, "tree.udt"),
+		"tree":   writeModel(t, asTree(t, tree), dir, "tree.udt"),
 		"forest": writeModel(t, fr, dir, "forest.udt"),
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -263,29 +244,30 @@ func TestCloseIdempotentWrappers(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if err := Close(m); err != nil {
+					if err := m.Close(); err != nil {
 						t.Errorf("concurrent Close: %v", err)
 					}
 				}()
 			}
 			wg.Wait()
-			if err := Close(m); err != nil {
+			if err := m.Close(); err != nil {
 				t.Fatalf("repeat Close: %v", err)
 			}
 		})
 	}
-	if err := Close(nil); err != nil {
-		t.Fatalf("Close(nil): %v", err)
+	var nm *Model
+	if err := nm.Close(); err != nil {
+		t.Fatalf("nil model Close: %v", err)
 	}
-	var nt *binaryTree
-	var nf *binaryForest
-	if err := nt.Close(); err != nil {
-		t.Fatalf("nil binaryTree Close: %v", err)
+	blob, err := json.Marshal(tree)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := nf.Close(); err != nil {
-		t.Fatalf("nil binaryForest Close: %v", err)
+	jm, err := Decode(blob)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Close(&TreeModel{Tree: tree, Compiled: compiled}); err != nil {
+	if err := jm.Close(); err != nil {
 		t.Fatalf("JSON model Close: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"udt/internal/data"
+	"udt/internal/forest"
 )
 
 // Native Go fuzz targets over the two adversarial decoding surfaces of the
@@ -98,6 +99,9 @@ func FuzzDecodeModel(f *testing.F) {
 		`{"version": 2, "classes": ["a", "b"], "numAttrs": [{"name": "A1"}], "trees": [{"weight": -3, "tree": ` + tree + `}]}`,
 		`[]`,
 		`{`,
+		// A container may not declare kind "tree": a tree's one JSON form
+		// is the single-tree document.
+		`{"version": 2, "kind": "tree", "classes": ["a", "b"], "numAttrs": [{"name": "A1"}], "trees": [{"weight": 1, "tree": ` + tree + `}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -116,5 +120,8 @@ func FuzzDecodeModel(f *testing.F) {
 			t.Fatal("decoded model has no classes")
 		}
 		_ = m.Describe()
+		if m.Kind() == forest.KindTree && m.NumTrees() != 1 {
+			t.Fatalf("tree decoded with %d members", m.NumTrees())
+		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"udt/internal/binfmt"
 	"udt/internal/core"
 	"udt/internal/data"
 	"udt/internal/forest"
@@ -52,10 +53,6 @@ func loadBenchFiles(tb testing.TB, dir string, trees int) ([]loadBenchCell, *dat
 	if err != nil {
 		tb.Fatal(err)
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		tb.Fatal(err)
-	}
 	f, err := forest.Train(ds, forest.Config{Trees: trees, Seed: 3, TreeConfig: core.Config{MinWeight: 2}})
 	if err != nil {
 		tb.Fatal(err)
@@ -72,10 +69,10 @@ func loadBenchFiles(tb testing.TB, dir string, trees int) ([]loadBenchCell, *dat
 		}
 		return path
 	}
-	writeBinary := func(name string, m Model) string {
+	writeBinary := func(name string, m *forest.Forest) string {
 		path := filepath.Join(dir, name)
 		var buf bytes.Buffer
-		if err := EncodeBinary(&buf, m); err != nil {
+		if err := binfmt.EncodeForest(&buf, m); err != nil {
 			tb.Fatal(err)
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -83,10 +80,9 @@ func loadBenchFiles(tb testing.TB, dir string, trees int) ([]loadBenchCell, *dat
 		}
 		return path
 	}
-	tm := &TreeModel{Tree: tree, Compiled: compiled}
 	cells := []loadBenchCell{
 		{"tree", "json", writeJSON("tree.json", tree)},
-		{"tree", "binary", writeBinary("tree.udt", tm)},
+		{"tree", "binary", writeBinary("tree.udt", asTree(tb, tree))},
 		{"forest", "json", writeJSON("forest.json", f)},
 		{"forest", "binary", writeBinary("forest.udt", f)},
 	}
@@ -117,7 +113,7 @@ func BenchmarkModelLoad(b *testing.B) {
 				if dist := m.Classify(probe); len(dist) == 0 {
 					b.Fatal("empty distribution")
 				}
-				if err := Close(m); err != nil {
+				if err := m.Close(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -167,7 +163,7 @@ func TestModelLoadSmoke(t *testing.T) {
 			start = time.Now()
 			dist := m.Classify(probe)
 			first := time.Since(start)
-			if err := Close(m); err != nil {
+			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
 			dists[i] = dist

@@ -1,8 +1,7 @@
-// Package modelio loads serialized models — legacy single-tree documents
-// and versioned forest containers — behind one interface, and decodes the
-// JSON wire format for uncertain tuples. It is the shared model I/O layer of
-// cmd/udtree and cmd/udtserve, which previously each carried their own
-// copies of this logic.
+// Package modelio loads serialized models — legacy single-tree documents,
+// versioned forest containers and binary containers — into one model type,
+// and decodes the JSON wire format for uncertain tuples. It is the shared
+// model I/O layer of cmd/udtree and cmd/udtserve.
 package modelio
 
 import (
@@ -13,126 +12,63 @@ import (
 	"os"
 
 	"udt/internal/binfmt"
-	"udt/internal/core"
-	"udt/internal/data"
 	"udt/internal/forest"
 )
 
-// Model is a loaded classifier ready for inference: a compiled single tree
-// or a compiled forest. Implementations are immutable and safe for
-// concurrent use.
-type Model interface {
-	// Schema returns the class labels and attribute schema.
-	Schema() (classes []string, num, cat []data.Attribute)
-	// Classify returns the probability distribution over class labels.
-	Classify(tu *data.Tuple) []float64
-	// Predict returns the most probable class label index.
-	Predict(tu *data.Tuple) int
-	// ClassifyBatch classifies a batch with up to workers goroutines.
-	ClassifyBatch(tuples []*data.Tuple, workers int) [][]float64
-	// PredictBatch predicts a batch with up to workers goroutines.
-	PredictBatch(tuples []*data.Tuple, workers int) []int
-	// Describe renders a one-line summary for logs and health endpoints.
-	Describe() string
+// Container formats a model can be loaded from, reported by Model.Format.
+const (
+	FormatJSON   = "json"
+	FormatBinary = "binary"
+)
+
+// Model is a loaded model ready for inference: a compiled forest of any kind
+// (a single tree is a one-member forest, forest.KindTree) plus the container
+// it came from. A binary model's arrays alias the container's memory — the
+// file mapping, when mapped — so a serving layer that reloads models must
+// Close each one once no request can still be reading it. Models are
+// immutable and safe for concurrent use until Close.
+type Model struct {
+	*forest.Forest
+	// Format is the container the model was loaded from: FormatJSON or
+	// FormatBinary.
+	Format string
+	// release unmaps a binary container; nil for JSON models.
+	release func() error
 }
 
-// Staged is a Model that supports staged early-exit inference: members are
-// evaluated in a fixed order (descending vote weight) and prediction stops
-// once the argmax is mathematically settled, with byte-identical answers to
-// full evaluation. *forest.Forest is the one implementation; single trees
-// have nothing to stage.
-type Staged interface {
-	Model
-	// StageCount reports the number of ensemble members.
-	StageCount() int
-	// PredictEarlyExit predicts one tuple, reporting how many members were
-	// evaluated before the argmax was settled.
-	PredictEarlyExit(tu *data.Tuple) (class, membersEvaluated int)
-	// PredictBatchEarlyExit predicts a batch with up to workers goroutines;
-	// preds is positionally identical to PredictBatch.
-	PredictBatchEarlyExit(tuples []*data.Tuple, workers int) (preds, evaluated []int)
+// Close releases the file mapping of a binary model; the model must not be
+// used afterwards. It is safe on every model, nil included: JSON models are
+// a no-op, and closing the same model twice — even concurrently — runs the
+// unmap exactly once.
+func (m *Model) Close() error {
+	if m == nil || m.release == nil {
+		return nil
+	}
+	return m.release()
 }
 
-var _ Staged = (*forest.Forest)(nil)
-
-// TreeModel is a single decision tree loaded from the legacy model.json
-// format, kept in both recursive and compiled form.
-type TreeModel struct {
-	Tree     *core.Tree
-	Compiled *core.Compiled
+// fromContainer adopts a decoded binary container as a model.
+func fromContainer(c *binfmt.Container) *Model {
+	return &Model{Forest: c.Forest, Format: FormatBinary, release: c.Close}
 }
-
-// Schema implements Model.
-func (m *TreeModel) Schema() (classes []string, num, cat []data.Attribute) {
-	return m.Tree.Classes, m.Tree.NumAttrs, m.Tree.CatAttrs
-}
-
-// Classify implements Model through the compiled engine.
-func (m *TreeModel) Classify(tu *data.Tuple) []float64 { return m.Compiled.Classify(tu) }
-
-// Predict implements Model through the compiled engine.
-func (m *TreeModel) Predict(tu *data.Tuple) int { return m.Compiled.Predict(tu) }
-
-// ClassifyBatch implements Model through the compiled engine.
-func (m *TreeModel) ClassifyBatch(tuples []*data.Tuple, workers int) [][]float64 {
-	return m.Compiled.ClassifyBatch(tuples, workers)
-}
-
-// PredictBatch implements Model through the compiled engine.
-func (m *TreeModel) PredictBatch(tuples []*data.Tuple, workers int) []int {
-	return m.Compiled.PredictBatch(tuples, workers)
-}
-
-// Describe implements Model.
-func (m *TreeModel) Describe() string {
-	return fmt.Sprintf("tree (%d nodes, depth %d)", m.Tree.Stats.Nodes, m.Tree.Stats.Depth)
-}
-
-// Stats returns the tree's build statistics.
-func (m *TreeModel) Stats() core.BuildStats { return m.Tree.Stats }
 
 // Decode parses a model document, auto-detecting the format: blobs starting
-// with the binfmt magic are binary containers, JSON documents with a
-// "version" or "trees" field are forest containers, everything else is a
-// legacy single-tree document. The returned model is compiled and ready to
-// serve; use AsForest for format-specific metadata (OOB stats, tree count).
-func Decode(blob []byte) (Model, error) {
+// with the binfmt magic are binary containers, everything else is JSON — a
+// forest container or a legacy single-tree document, which forest decodes
+// as a one-member forest. The returned model is compiled and ready to serve.
+func Decode(blob []byte) (*Model, error) {
 	if binfmt.Sniff(blob) {
 		c, err := binfmt.DecodeBytes(blob)
 		if err != nil {
 			return nil, err
 		}
-		return wrapContainer(c), nil
+		return fromContainer(c), nil
 	}
-	var probe struct {
-		Version *int            `json:"version"`
-		Trees   json.RawMessage `json:"trees"`
-		Root    json.RawMessage `json:"root"`
-	}
-	if err := json.Unmarshal(blob, &probe); err != nil {
+	f := new(forest.Forest)
+	if err := json.Unmarshal(blob, f); err != nil {
 		return nil, jsonPos(err)
 	}
-	if probe.Version != nil || probe.Trees != nil {
-		f := new(forest.Forest)
-		if err := json.Unmarshal(blob, f); err != nil {
-			return nil, jsonPos(err)
-		}
-		return f, nil
-	}
-	if probe.Root == nil {
-		return nil, errors.New("modelio: document is neither a tree (no root) nor a forest container (no version/trees)")
-	}
-	tree := new(core.Tree)
-	if err := json.Unmarshal(blob, tree); err != nil {
-		return nil, jsonPos(err)
-	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		// Distinguish a valid document describing an invalid model from a
-		// parse failure — the operator's fix differs.
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	return &TreeModel{Tree: tree, Compiled: compiled}, nil
+	return &Model{Forest: f, Format: FormatJSON}, nil
 }
 
 // jsonPos annotates a JSON decode failure with the byte offset at which it
@@ -153,14 +89,18 @@ func jsonPos(err error) error {
 // Load reads and decodes a model file, auto-detecting the container format.
 // Binary containers (recognized by their magic) are loaded through the
 // mmap-backed binfmt path; everything else is read and parsed as JSON.
-func Load(path string) (Model, error) {
+func Load(path string) (*Model, error) {
 	binary, err := sniffFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)
 	}
 	if binary {
 		// binfmt.Load's errors already carry the path and file offset.
-		return LoadBinary(path)
+		c, err := binfmt.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		return fromContainer(c), nil
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -26,9 +26,19 @@ func twoClassDataset(n int) *data.Dataset {
 	return ds
 }
 
-// TestDecodeAutoDetect: the loader must route single-tree documents to
-// TreeModel and forest containers to forest.Forest, with identical
-// predictions to the source models.
+// asTree wraps a single tree as the one-member forest.KindTree model.
+func asTree(t testing.TB, tree *core.Tree) *forest.Forest {
+	t.Helper()
+	f, err := forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestDecodeAutoDetect: the loader must decode single-tree documents as
+// one-member tree forests and forest containers as their ensemble kind,
+// with identical predictions to the source models.
 func TestDecodeAutoDetect(t *testing.T) {
 	ds := twoClassDataset(60)
 	tree, err := core.Build(ds, core.Config{MinWeight: 1})
@@ -47,15 +57,15 @@ func TestDecodeAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tm.(*TreeModel); !ok {
-		t.Fatalf("tree document decoded as %T", tm)
+	if tm.Kind() != forest.KindTree || tm.NumTrees() != 1 || tm.Format != FormatJSON {
+		t.Fatalf("tree document decoded as %s kind %q with %d members", tm.Format, tm.Kind(), tm.NumTrees())
 	}
 	fm, err := Decode(forestBlob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fm.(*forest.Forest); !ok {
-		t.Fatalf("forest container decoded as %T", fm)
+	if fm.Kind() != forest.KindBagged || fm.NumTrees() != fr.NumTrees() {
+		t.Fatalf("forest container decoded as kind %q with %d members", fm.Kind(), fm.NumTrees())
 	}
 
 	for i, tu := range ds.Tuples {
@@ -84,6 +94,7 @@ func TestDecodeErrors(t *testing.T) {
 		"neither tree nor forest": `{"classes": ["a"]}`,
 		"forest with bad trees":   `{"version": 1, "classes": ["a", "b"], "numAttrs": [{"name": "A1"}], "trees": [{"tree": {"classes": ["a", "b"]}}]}`,
 		"tree without classes":    `{"root": {"dist": [1], "w": 1}}`,
+		"container of kind tree":  `{"version": 2, "kind": "tree", "classes": ["a"], "numAttrs": [], "trees": [{"weight": 1, "tree": {"classes": ["a"], "root": {"dist": [1], "w": 1}}}]}`,
 	}
 	for name, doc := range cases {
 		if _, err := Decode([]byte(doc)); err == nil {

@@ -50,7 +50,7 @@ import (
 // the close itself is idempotent all the way down (binfmt runs its unmap
 // exactly once).
 type Active struct {
-	Model      modelio.Model
+	Model      *modelio.Model
 	Generation int64 // 1 at entry creation, +1 per successful reload
 	LoadedAt   time.Time
 
@@ -61,10 +61,10 @@ type Active struct {
 
 // Release drops one reference; the last one out closes the model (unmapping
 // it, if binary). The zero-crossing race between a retiring reload and a
-// backing-off acquirer is safe because the wrapped Close is idempotent.
+// backing-off acquirer is safe because Model.Close is idempotent.
 func (am *Active) Release() {
 	if am.refs.Add(-1) == 0 {
-		if err := modelio.Close(am.Model); err != nil {
+		if err := am.Model.Close(); err != nil {
 			am.log.Error("close model generation", "generation", am.Generation, "err", err)
 		}
 	}
@@ -123,9 +123,8 @@ type Entry struct {
 	// a stamp for content that was never loaded.
 	lastStamp fileStamp
 
-	closed        atomic.Bool // set by Remove/Close before retiring; stops new acquires
-	requireStaged bool
-	log           *slog.Logger
+	closed atomic.Bool // set by Remove/Close before retiring; stops new acquires
+	log    *slog.Logger
 }
 
 // Acquire returns the entry's current model generation with a reference
@@ -195,15 +194,15 @@ func stampOf(path string) fileStamp {
 // already-loaded.
 func (e *Entry) loadLocked() (*Active, error) {
 	stamp := stampOf(e.Path)
-	m, err := loadChecked(e.Path, e.requireStaged)
+	m, err := modelio.Load(e.Path)
 	if err != nil {
 		return nil, err
 	}
-	var sm modelio.Model
+	var sm *modelio.Model
 	if e.ShadowPath != "" {
-		sm, err = loadChecked(e.ShadowPath, e.requireStaged)
+		sm, err = modelio.Load(e.ShadowPath)
 		if err != nil {
-			modelio.Close(m)
+			m.Close()
 			return nil, fmt.Errorf("shadow: %w", err)
 		}
 	}
@@ -219,28 +218,10 @@ func (e *Entry) loadLocked() (*Active, error) {
 	return am, nil
 }
 
-func newActive(m modelio.Model, gen int64, log *slog.Logger) *Active {
+func newActive(m *modelio.Model, gen int64, log *slog.Logger) *Active {
 	am := &Active{Model: m, Generation: gen, LoadedAt: time.Now(), log: log}
 	am.refs.Store(1) // the published reference
 	return am
-}
-
-// loadChecked loads one model file and enforces the early-exit mode
-// constraint. Checked on every load, not just startup: a hot reload swapping
-// in a single-tree model would otherwise crash the early-exit serving path;
-// the failed reload leaves the previous (staged) model serving.
-func loadChecked(path string, requireStaged bool) (modelio.Model, error) {
-	m, err := modelio.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if requireStaged {
-		if _, ok := m.(modelio.Staged); !ok {
-			modelio.Close(m)
-			return nil, fmt.Errorf("%s: -early-exit requires an ensemble model, got %s", path, m.Describe())
-		}
-	}
-	return m, nil
 }
 
 // Reload re-reads the entry's model file and swaps it in atomically — the
@@ -309,9 +290,6 @@ type Options struct {
 	// default entry — the single-model -shadow flag. Manifests carry shadows
 	// per model instead.
 	Shadow string
-	// RequireStaged refuses non-ensemble models (the -early-exit mode
-	// constraint), at Open and on every reload.
-	RequireStaged bool
 	// Log receives structured reload/close records. Defaults to a JSON
 	// logger on stderr.
 	Log *slog.Logger
@@ -473,12 +451,11 @@ func (r *Registry) add(name, path, shadow string, maxStreams int, dflt bool) err
 		return fmt.Errorf("registry: duplicate model name %q", name)
 	}
 	e := &Entry{
-		Name:          name,
-		Path:          path,
-		ShadowPath:    shadow,
-		MaxStreams:    maxStreams,
-		requireStaged: r.opts.RequireStaged,
-		log:           r.opts.Log.With("model", name),
+		Name:       name,
+		Path:       path,
+		ShadowPath: shadow,
+		MaxStreams: maxStreams,
+		log:        r.opts.Log.With("model", name),
 	}
 	e.reloadMu.Lock()
 	am, err := e.loadLocked()

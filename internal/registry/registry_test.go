@@ -11,10 +11,10 @@ import (
 	"sync"
 	"testing"
 
+	"udt/internal/binfmt"
 	"udt/internal/core"
 	"udt/internal/data"
 	"udt/internal/forest"
-	"udt/internal/modelio"
 	"udt/internal/par"
 	"udt/internal/pdf"
 )
@@ -69,7 +69,7 @@ func writeForestBinary(t *testing.T, path string, trees int) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := modelio.EncodeBinary(&buf, fr); err != nil {
+	if err := binfmt.EncodeForest(&buf, fr); err != nil {
 		t.Fatal(err)
 	}
 	// Atomic rename, matching the binfmt deploy contract.
@@ -302,9 +302,8 @@ func TestWatchVsReloadStampConsistency(t *testing.T) {
 	if err != nil || !reloaded {
 		t.Fatalf("final poll: reloaded=%v err=%v, want true/nil", reloaded, err)
 	}
-	f, ok := modelio.AsForest(am.Model)
-	if !ok || f.NumTrees() != 7 {
-		t.Fatalf("final generation trees = %v, want 7", ok)
+	if n := am.Model.NumTrees(); n != 7 {
+		t.Fatalf("final generation trees = %d, want 7", n)
 	}
 	// And an unchanged file does not reload again.
 	if _, again, _ := e.MaybeReload(); again {

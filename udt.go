@@ -62,7 +62,8 @@ type (
 	// Forest is an ensemble of compiled uncertain decision trees — bagged
 	// (uniform votes over bootstrap resamples) or boosted (SAMME vote
 	// weights); classification is the vote-weighted average of the member
-	// distributions. Immutable and safe for concurrent use.
+	// distributions. A single-tree JSON document decodes as a one-member
+	// Forest of kind "tree". Immutable and safe for concurrent use.
 	Forest = forest.Forest
 	// ForestConfig controls ensemble training: tree count, bootstrap sample
 	// ratio, per-tree attribute subsets, seed, parallel member builds, and

@@ -477,12 +477,6 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-type requestJSON struct {
-	Num    []json.RawMessage   `json:"num"`
-	Cat    []json.RawMessage   `json:"cat"`
-	Tuples []modelio.WireTuple `json:"tuples"`
-}
-
 type resultJSON struct {
 	Class string             `json:"class"`
 	Dist  map[string]float64 `json:"dist,omitempty"`
@@ -520,29 +514,15 @@ func (s *server) classifyEntry(e *registry.Entry, w http.ResponseWriter, r *http
 	classes, numAttrs, catAttrs := am.Model.Schema()
 
 	tr.Begin(obs.SpanDecode)
-	var req requestJSON
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
+		fail(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
+		return
+	}
+	tuples, batch, err := modelio.DecodeRequest(body, numAttrs, catAttrs)
+	if err != nil {
 		fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
-	}
-	batch := req.Tuples != nil
-	if batch && (req.Num != nil || req.Cat != nil) {
-		fail(w, http.StatusBadRequest, errors.New(`use either "tuples" or a single "num"/"cat" body, not both`))
-		return
-	}
-	if !batch {
-		req.Tuples = []modelio.WireTuple{{Num: req.Num, Cat: req.Cat}}
-	}
-	tuples := make([]*udt.Tuple, len(req.Tuples))
-	for i, tj := range req.Tuples {
-		tu, err := tj.Decode(numAttrs, catAttrs)
-		if err != nil {
-			fail(w, http.StatusBadRequest, fmt.Errorf("tuple %d: %w", i, err))
-			return
-		}
-		tuples[i] = tu
 	}
 	tr.End(obs.SpanDecode)
 	tr.AddTuples(len(tuples))
@@ -589,6 +569,22 @@ func (s *server) classifyEntry(e *registry.Entry, w http.ResponseWriter, r *http
 		reply(w, results[0])
 	}
 	tr.End(obs.SpanEncode)
+}
+
+// readBody reads the whole request body, refusing more than maxBody bytes.
+// A Content-Length sizes the buffer up front, so the body is read into one
+// allocation rather than a doubling series.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBody {
+		// ReadFrom wants MinRead spare bytes before every read, the one
+		// that meets EOF included.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // maxStreamLine bounds one NDJSON input line; a single tuple document
@@ -674,17 +670,8 @@ func (s *server) classifyStreamEntry(e *registry.Entry, w http.ResponseWriter, r
 			continue
 		}
 		out := modelio.StreamResult{Line: line}
-		var wt modelio.WireTuple
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&wt); err != nil {
+		if tu, err := modelio.DecodeWireTuple(raw, numAttrs, catAttrs); err != nil {
 			out.Error = fmt.Sprintf("decode: %v", err)
-		} else if dec.More() {
-			// Two concatenated documents (or a document followed by junk)
-			// must not be half-accepted with the tail silently dropped.
-			out.Error = "decode: trailing data after tuple document"
-		} else if tu, err := wt.Decode(numAttrs, catAttrs); err != nil {
-			out.Error = err.Error()
 		} else {
 			// Count the tuple but keep the batch-size histogram for
 			// /classify callers only: a long stream would otherwise drown

@@ -187,6 +187,12 @@ func TestClassifyBadRequests(t *testing.T) {
 		"mixed single+batch": `{"num": [1, 2], "tuples": []}`,
 		"bad pdf object":     `{"num": [{"xs": [1], "masses": []}, 2]}`,
 		"non-number value":   `{"num": ["abc", 2]}`,
+		// encoding/json would accept these: the first two half-read the body,
+		// the third decodes null as 0, the fourth is last-wins.
+		"trailing junk":          `{"num": [0.2, [1, 2, 3]]} trailing junk`,
+		"concatenated documents": `{"num": [0.2, [1, 2, 3]]}{"num": [9, 9]}`,
+		"null in number array":   `{"num": [0.2, [1, null, 3]]}`,
+		"repeated key":           `{"num": [0.2, [1, 2, 3]], "NUM": [9, 9]}`,
 	}
 	for name, body := range cases {
 		res := postJSON(t, ts.URL+"/classify", body)

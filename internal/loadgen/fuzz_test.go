@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"udt/internal/data"
 	"udt/internal/modelio"
 )
 
@@ -77,15 +78,13 @@ func FuzzPayloadsFromCSV(f *testing.F) {
 		if len(p.Docs) == 0 {
 			t.Fatal("accepted an empty payload pool")
 		}
+		src, err := data.NewCSVSource(bytes.NewReader(b), "fuzz.csv")
+		if err != nil {
+			t.Fatalf("payloads from a CSV the reader refuses: %v", err)
+		}
 		for i, doc := range p.Docs {
-			var wt modelio.WireTuple
-			if err := json.Unmarshal(doc, &wt); err != nil {
-				t.Fatalf("doc %d is not a wire tuple: %v\n%s", i, err, doc)
-			}
-			for j, raw := range wt.Num {
-				if _, err := modelio.DecodeNum(raw); err != nil {
-					t.Fatalf("doc %d num %d rejected by wire decoder: %v", i, j, err)
-				}
+			if _, err := modelio.DecodeWireTuple(doc, src.NumAttrs(), src.CatAttrs()); err != nil {
+				t.Fatalf("doc %d rejected by the wire decoder: %v\n%s", i, err, doc)
 			}
 			if bytes.ContainsAny(doc, "\n\r") {
 				t.Fatalf("doc %d contains a newline (breaks NDJSON framing):\n%s", i, doc)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"udt/internal/data"
 	"udt/internal/latency"
 	"udt/internal/modelio"
 )
@@ -40,18 +41,10 @@ func TestPayloadsFromCSV(t *testing.T) {
 	if len(p.Docs) != 3 {
 		t.Fatalf("%d docs, want 3", len(p.Docs))
 	}
+	num := []data.Attribute{{Name: "x", Kind: data.Numeric}, {Name: "y", Kind: data.Numeric}}
 	for i, doc := range p.Docs {
-		var wt modelio.WireTuple
-		if err := json.Unmarshal(doc, &wt); err != nil {
+		if _, err := modelio.DecodeWireTuple(doc, num, nil); err != nil {
 			t.Fatalf("doc %d: %v (%s)", i, err, doc)
-		}
-		if len(wt.Num) != 2 || len(wt.Cat) != 0 {
-			t.Fatalf("doc %d: %d num / %d cat entries", i, len(wt.Num), len(wt.Cat))
-		}
-		for j, raw := range wt.Num {
-			if _, err := modelio.DecodeNum(raw); err != nil {
-				t.Fatalf("doc %d num %d: %v", i, j, err)
-			}
 		}
 	}
 	// Column x of row 0 is a point: it must encode as a bare number, not a

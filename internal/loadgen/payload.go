@@ -10,7 +10,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,7 +46,7 @@ func PayloadsFromCSV(r io.Reader, name string) (*Payloads, error) {
 	}
 	p := &Payloads{Name: name, Docs: make([][]byte, ds.Len())}
 	for i, tu := range ds.Tuples {
-		doc, err := encodeTuple(tu)
+		doc, err := encodeTuple(tu, ds.NumAttrs, ds.CatAttrs)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %s row %d: %w", name, i+1, err)
 		}
@@ -61,7 +60,7 @@ func PayloadsFromCSV(r io.Reader, name string) (*Payloads, error) {
 // distributions as mass arrays, missing values as null. Appending JSON
 // fragments by hand keeps the document free of float formatting surprises
 // (strconv is exactly what encoding/json uses for numbers).
-func encodeTuple(tu *data.Tuple) ([]byte, error) {
+func encodeTuple(tu *data.Tuple, numAttrs, catAttrs []data.Attribute) ([]byte, error) {
 	buf := []byte(`{"num":[`)
 	for j, p := range tu.Num {
 		if j > 0 {
@@ -113,14 +112,8 @@ func encodeTuple(tu *data.Tuple) ([]byte, error) {
 	// Round-trip through the shared wire decoder so a payload the server
 	// would reject never enters the pool: every request failure during a run
 	// is then a server-side fact, not an encoding bug.
-	var wt modelio.WireTuple
-	if err := json.Unmarshal(buf, &wt); err != nil {
+	if _, err := modelio.DecodeWireTuple(buf, numAttrs, catAttrs); err != nil {
 		return nil, err
-	}
-	for j, raw := range wt.Num {
-		if _, err := modelio.DecodeNum(raw); err != nil {
-			return nil, fmt.Errorf("numeric attribute %d: %w", j, err)
-		}
 	}
 	return buf, nil
 }

@@ -1,7 +1,6 @@
 package modelio
 
 import (
-	"encoding/json"
 	"testing"
 
 	"udt/internal/data"
@@ -34,37 +33,38 @@ func fuzzSchema() (num, cat []data.Attribute) {
 	return num, cat
 }
 
+// wireTupleSeeds are tuple documents over fuzzSchema, valid and not.
+var wireTupleSeeds = []string{
+	`{"num": [1.5, 2], "cat": ["q"]}`,
+	`{"num": [null, [2, 4]], "cat": [[1, 1, 0]]}`,
+	`{"num": [{"xs": [1, 2], "masses": [1, 3]}, 0], "cat": [null]}`,
+	`{"num": [1], "cat": []}`,
+	`{"num": [1e308, -1e308], "cat": [[0.0, 0.0, 0.0]]}`,
+	`{"num": ["abc", {}], "cat": ["zzz"]}`,
+	`{"num": [{"xs": [1], "masses": []}, [null]], "cat": [[1]]}`,
+	`{`,
+	``,
+	`null`,
+	`{"num": [NaN, 1], "cat": ["p"]}`,
+}
+
 // FuzzWireTuple: arbitrary bytes through the tuple wire decoder must either
 // decode into a schema-consistent tuple or error — never panic.
 func FuzzWireTuple(f *testing.F) {
-	seeds := []string{
-		`{"num": [1.5, 2], "cat": ["q"]}`,
-		`{"num": [null, [2, 4]], "cat": [[1, 1, 0]]}`,
-		`{"num": [{"xs": [1, 2], "masses": [1, 3]}, 0], "cat": [null]}`,
-		`{"num": [1], "cat": []}`,
-		`{"num": [1e308, -1e308], "cat": [[0.0, 0.0, 0.0]]}`,
-		`{"num": ["abc", {}], "cat": ["zzz"]}`,
-		`{"num": [{"xs": [1], "masses": []}, [null]], "cat": [[1]]}`,
-		`{`,
-		``,
-		`null`,
-		`{"num": [NaN, 1], "cat": ["p"]}`,
-	}
-	for _, s := range seeds {
+	for _, s := range wireTupleSeeds {
 		f.Add([]byte(s))
 	}
 	num, cat := fuzzSchema()
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		var wt WireTuple
-		if err := json.Unmarshal(blob, &wt); err != nil {
-			return
-		}
-		tu, err := wt.Decode(num, cat)
+		tu, err := DecodeWireTuple(blob, num, cat)
 		if err != nil {
+			if tu != nil {
+				t.Fatal("DecodeWireTuple returned both a tuple and an error")
+			}
 			return
 		}
 		if tu == nil {
-			t.Fatal("Decode returned neither a tuple nor an error")
+			t.Fatal("DecodeWireTuple returned neither a tuple nor an error")
 		}
 		// A successful decode must honour the schema arity; anything else
 		// would panic later, mid-descent in the compiled engine.
@@ -74,6 +74,83 @@ func FuzzWireTuple(f *testing.F) {
 		for j, d := range tu.Cat {
 			if d != nil && len(d) != len(cat[j].Domain) {
 				t.Fatalf("categorical %d decoded with %d masses, domain has %d", j, len(d), len(cat[j].Domain))
+			}
+		}
+	})
+}
+
+// FuzzWireDecodeDifferential: arbitrary bytes through the scanner and
+// through the encoding/json reference (wireref_test.go), as /classify
+// bodies, against fuzzSchema and a benchmark-shaped 19-attribute schema.
+// Where the reference accepts, the scanner accepts exactly when
+// wireRefusals finds none of its three refusals, and the tuples are bit
+// for bit the same. Where the reference refuses, so does the scanner.
+func FuzzWireDecodeDifferential(f *testing.F) {
+	for _, s := range wireTupleSeeds {
+		f.Add([]byte(s))
+	}
+	bench, _ := benchBody(19, 20)
+	f.Add(bench)
+	for _, s := range []string{
+		// Batches, and null bodies and values that decode like {}.
+		`{"tuples": [{"num": [1, 2], "cat": ["p"]}, {"num": [[3, 1, 2], null], "cat": [[0, 2, 1]]}]}`,
+		`{"tuples": [], "num": null}`,
+		`{"tuples": [null]}`,
+		`{"tuples": [], "num": []}`,
+		// Keys matched after unescaping and case folding (ſ folds to s).
+		`{"NUM": [1, 2], "Cat": ["p"]}`,
+		`{"n\u0075m": [{"XS": [1, 2], "maſſes": [1, 1]}, 2], "c\u0061t": ["\u0070"]}`,
+		// Escapes in values: a surrogate pair, a lone surrogate, \/.
+		`{"num": [1, 2], "cat": ["\ud83d\ude00"]}`,
+		`{"num": [1, 2], "cat": ["\ud800"]}`,
+		`{"num": [1, 2], "cat": ["\/"]}`,
+		"{\"num\": [1, 2], \"cat\": [\"\xff\"]}",
+		// Numbers at the grammar's edges.
+		`{"num": [1e400, 2], "cat": [null]}`,
+		`{"num": [-0, {"xs": [-0, 5e-324], "masses": [1e-12, 1]}], "cat": [null]}`,
+		`{"num": [01, 2], "cat": [null]}`,
+		`{"num": [1., 2], "cat": [null]}`,
+		`{"num": [-, 2], "cat": [null]}`,
+		`{"num": [1E+2, 2.5e-3], "cat": [null]}`,
+		// The three refusals.
+		`{"num": [0.2, [1, 2, 3]], "cat": ["p"]} trailing junk`,
+		`{"num": [0.2, [1, 2, 3]], "cat": ["p"]}{"num": [9, 9]}`,
+		`{"num": [0.2, [1, null, 3]], "cat": ["p"]}`,
+		`{"num": [{"xs": [1, null], "masses": [1, 1]}, 2], "cat": ["p"]}`,
+		`{"num": [1, 2], "cat": [[1, null, 0]]}`,
+		`{"num": [1, 2], "NUM": [3, 4], "cat": ["p"]}`,
+		`{"num": [{"xs": [1], "xs": [2], "masses": [1]}, 2], "cat": ["p"]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	num, cat := fuzzSchema()
+	_, benchNum := benchBody(19, 20)
+	schemas := [][2][]data.Attribute{{num, cat}, {benchNum, nil}}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		refused := wireRefusals(blob)
+		for _, s := range schemas {
+			got, gotBatch, err := DecodeRequest(blob, s[0], s[1])
+			want, wantBatch, refErr := refDecodeRequest(blob, s[0], s[1])
+			switch {
+			case err == nil && refErr != nil:
+				t.Fatalf("scanner accepts what the reference refuses (%v)", refErr)
+			case err == nil && refused:
+				t.Fatal("scanner accepts a repeated key, a null in a number array or trailing data")
+			case err != nil && refErr == nil && !refused:
+				t.Fatalf("scanner refuses what the reference accepts: %v", err)
+			case err != nil:
+				if got != nil {
+					t.Fatal("DecodeRequest returned both tuples and an error")
+				}
+				continue
+			}
+			if gotBatch != wantBatch || len(got) != len(want) {
+				t.Fatalf("batch %v with %d tuples, reference batch %v with %d", gotBatch, len(got), wantBatch, len(want))
+			}
+			for i := range got {
+				if err := sameTuple(got[i], want[i]); err != nil {
+					t.Fatalf("tuple %d: %v", i, err)
+				}
 			}
 		}
 	})

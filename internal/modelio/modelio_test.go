@@ -2,9 +2,13 @@ package modelio
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"udt/internal/core"
@@ -172,17 +176,82 @@ func TestDecodeTupleWire(t *testing.T) {
 	bad := []struct {
 		name     string
 		num, cat []json.RawMessage
+		want     string // in the error, when set
 	}{
-		{"numeric arity", []json.RawMessage{raw(`1`)}, []json.RawMessage{raw(`"p"`)}},
-		{"categorical arity", []json.RawMessage{raw(`1`), raw(`2`)}, nil},
-		{"unknown domain value", []json.RawMessage{raw(`1`), raw(`2`)}, []json.RawMessage{raw(`"zzz"`)}},
-		{"mass arity", []json.RawMessage{raw(`1`), raw(`2`)}, []json.RawMessage{raw(`[1, 1, 1]`)}},
-		{"bad pdf object", []json.RawMessage{raw(`{"xs": [1], "masses": []}`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}},
-		{"non-number", []json.RawMessage{raw(`"abc"`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}},
+		{"numeric arity", []json.RawMessage{raw(`1`)}, []json.RawMessage{raw(`"p"`)}, ""},
+		{"categorical arity", []json.RawMessage{raw(`1`), raw(`2`)}, nil, ""},
+		{"unknown domain value", []json.RawMessage{raw(`1`), raw(`2`)}, []json.RawMessage{raw(`"zzz"`)}, ""},
+		{"mass arity", []json.RawMessage{raw(`1`), raw(`2`)}, []json.RawMessage{raw(`[1, 1, 1]`)}, ""},
+		{"bad pdf object", []json.RawMessage{raw(`{"xs": [1], "masses": []}`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}, ""},
+		{"non-number", []json.RawMessage{raw(`"abc"`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}, ""},
+		// null inside a number array would decode as 0 under encoding/json.
+		{"null raw sample", []json.RawMessage{raw(`1`), raw(`[1, null, 3]`)}, []json.RawMessage{raw(`"p"`)}, `numeric attribute "y": offset 4: null in a number array`},
+		{"null in xs", []json.RawMessage{raw(`{"xs": [1, null], "masses": [1, 1]}`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}, `numeric attribute "x"`},
+		{"null in masses", []json.RawMessage{raw(`{"xs": [1, 2], "masses": [null, 1]}`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}, `numeric attribute "x"`},
+		{"null categorical mass", []json.RawMessage{raw(`1`), raw(`2`)}, []json.RawMessage{raw(`[1, null]`)}, `categorical attribute "c"`},
+		// A repeated key would be last-wins, here after case folding.
+		{"repeated key", []json.RawMessage{raw(`{"xs": [1], "masses": [1], "XS": [2]}`), raw(`2`)}, []json.RawMessage{raw(`"p"`)}, `repeated key "XS"`},
 	}
 	for _, tc := range bad {
-		if _, err := DecodeTuple(tc.num, tc.cat, numAttrs, catAttrs); err == nil {
+		_, err := DecodeTuple(tc.num, tc.cat, numAttrs, catAttrs)
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not say %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// benchBody renders a /classify body shaped like the serve benchmark's: n
+// numeric attributes, each an {"xs", "masses"} pdf of s increasing sample
+// points with 8 significant digits, and the schema it decodes against.
+func benchBody(n, s int) ([]byte, []data.Attribute) {
+	attrs := make([]data.Attribute, n)
+	b := []byte(`{"num":[`)
+	for j := range attrs {
+		attrs[j] = data.Attribute{Name: fmt.Sprintf("A%d", j+1), Kind: data.Numeric}
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"xs":[`...)
+		for i := 0; i < s; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, 100*float64(j)+float64(i)*0.73254911, 'g', 8, 64)
+		}
+		b = append(b, `],"masses":[`...)
+		for i := 0; i < s; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			z := float64(2*i-s) / float64(s)
+			b = strconv.AppendFloat(b, math.Exp(-4*z*z)/7.3, 'g', 8, 64)
+		}
+		b = append(b, `]}`...)
+	}
+	return append(b, `]}`...), attrs
+}
+
+// TestDecodeRequestAllocs pins the scanner's allocation budget on a
+// benchmark-shaped body: two allocations per numeric attribute (a pdf and
+// the one array behind its xs and cum) plus a small constant per request
+// (the tuple, its value slice, the result slice). Scratch comes from the
+// scanner pool.
+func TestDecodeRequestAllocs(t *testing.T) {
+	body, num := benchBody(19, 20)
+	tuples, _, err := DecodeRequest(body, num, nil)
+	if err != nil || len(tuples) != 1 || tuples[0].Num[18].NumSamples() != 20 {
+		t.Fatalf("decode: %v", err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := DecodeRequest(body, num, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	budget := 2*len(num) + 6
+	if allocs > float64(budget) {
+		t.Fatalf("%.1f allocations per request, budget %d", allocs, budget)
+	}
+	t.Logf("%.1f allocations per request, budget %d", allocs, budget)
 }

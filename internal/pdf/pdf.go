@@ -45,31 +45,74 @@ func New(xs, masses []float64) (*PDF, error) {
 	if len(xs) != len(masses) {
 		return nil, fmt.Errorf("pdf: %d locations but %d masses", len(xs), len(masses))
 	}
-	type pt struct{ x, m float64 }
-	pts := make([]pt, 0, len(xs))
-	total := 0.0
+	total, kept, increasing, err := validate(xs, masses)
+	if err != nil {
+		return nil, err
+	}
+	if increasing {
+		return fromIncreasing(xs, masses, kept, total), nil
+	}
+	return fromUnordered(xs, masses, kept, total), nil
+}
+
+// validate checks every location and mass, and returns the total of the
+// masses above massEps (summed in input order), how many there are, and
+// whether the locations are strictly increasing.
+func validate(xs, masses []float64) (total float64, kept int, increasing bool, err error) {
+	increasing = true
 	for i, x := range xs {
 		m := masses[i]
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("pdf: non-finite sample location %v", x)
+			return 0, 0, false, fmt.Errorf("pdf: non-finite sample location %v", x)
 		}
 		if m < 0 || math.IsNaN(m) {
-			return nil, ErrBadMass
+			return 0, 0, false, ErrBadMass
+		}
+		if i > 0 && x <= xs[i-1] {
+			increasing = false
 		}
 		if m <= massEps {
 			continue
 		}
-		pts = append(pts, pt{x, m})
+		kept++
 		total += m
 	}
 	if total <= massEps {
-		return nil, ErrBadMass
+		return 0, 0, false, ErrBadMass
+	}
+	return total, kept, increasing, nil
+}
+
+// fromIncreasing builds the PDF of strictly increasing locations straight
+// from the input: there is nothing to sort and no duplicate to merge. It
+// accumulates the same quotients in the same order as fromUnordered, so the
+// two agree bit for bit.
+func fromIncreasing(xs, masses []float64, kept int, total float64) *PDF {
+	p := withCapacity(kept)
+	run := 0.0
+	for i, x := range xs {
+		if m := masses[i]; m > massEps {
+			run += m / total
+			p.xs = append(p.xs, x)
+			p.cum = append(p.cum, run)
+		}
+	}
+	p.cum[kept-1] = 1 // kill accumulated rounding error
+	return p
+}
+
+// fromUnordered is the general path: sort a copy of the kept points by
+// location and merge duplicates.
+func fromUnordered(xs, masses []float64, kept int, total float64) *PDF {
+	type pt struct{ x, m float64 }
+	pts := make([]pt, 0, kept)
+	for i, x := range xs {
+		if m := masses[i]; m > massEps {
+			pts = append(pts, pt{x, m})
+		}
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-	p := &PDF{
-		xs:  make([]float64, 0, len(pts)),
-		cum: make([]float64, 0, len(pts)),
-	}
+	p := withCapacity(kept)
 	run := 0.0
 	for i, q := range pts {
 		run += q.m / total
@@ -81,7 +124,16 @@ func New(xs, masses []float64) (*PDF, error) {
 		p.cum = append(p.cum, run)
 	}
 	p.cum[len(p.cum)-1] = 1 // kill accumulated rounding error
-	return p, nil
+	return p
+}
+
+// withCapacity returns an empty PDF with room for n sample points. Its xs
+// and cum share one allocation, so a pdf's two arrays are allocated, kept
+// and freed together, apart from the short-lived buffers its input was
+// parsed into.
+func withCapacity(n int) *PDF {
+	buf := make([]float64, 2*n)
+	return &PDF{xs: buf[:0:n], cum: buf[n:n]}
 }
 
 // MustNew is New that panics on error; for tests and literals.

@@ -48,6 +48,54 @@ func TestNewDropsZeroMassPoints(t *testing.T) {
 	}
 }
 
+// TestNewIncreasingMatchesGeneralPath: strictly increasing locations skip
+// the copy and sort, and must still build the general path's pdf bit for
+// bit, including when masses at or below massEps are dropped at both ends.
+func TestNewIncreasingMatchesGeneralPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 3 + rng.Intn(150)
+		xs := make([]float64, n)
+		ms := make([]float64, n)
+		x := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		for i := range xs {
+			x = math.Nextafter(x+rng.ExpFloat64()*math.Pow(10, float64(rng.Intn(5)-2)), math.Inf(1))
+			xs[i] = x
+			ms[i] = rng.Float64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+		// Masses at or below the threshold at both ends, exactly at it
+		// included; the interior keeps at least one real mass.
+		for k := rng.Intn(3); k >= 0; k-- {
+			ms[k] = rng.Float64() * massEps
+		}
+		ms[0] = massEps
+		ms[n-1] = rng.Float64() * massEps
+		ms[n/2] = 1 + rng.Float64()
+		total, kept, increasing, err := validate(xs, ms)
+		if err != nil || !increasing {
+			t.Fatalf("trial %d: validate = %v, increasing %v", trial, err, increasing)
+		}
+		want := fromUnordered(xs, ms, kept, total)
+		got, err := New(xs, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.xs) != len(want.xs) || len(got.cum) != len(want.cum) {
+			t.Fatalf("trial %d: %d samples, general path %d", trial, len(got.xs), len(want.xs))
+		}
+		for i := range want.xs {
+			if math.Float64bits(got.xs[i]) != math.Float64bits(want.xs[i]) ||
+				math.Float64bits(got.cum[i]) != math.Float64bits(want.cum[i]) {
+				t.Fatalf("trial %d sample %d: (%v, %v), general path (%v, %v)",
+					trial, i, got.xs[i], got.cum[i], want.xs[i], want.cum[i])
+			}
+		}
+		if got.xs[0] == xs[0] || got.xs[len(got.xs)-1] == xs[n-1] {
+			t.Fatalf("trial %d: a mass at or below massEps was kept", trial)
+		}
+	}
+}
+
 func TestNewErrors(t *testing.T) {
 	cases := []struct {
 		name   string

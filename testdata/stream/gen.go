@@ -85,9 +85,7 @@ func main() {
 	var golden bytes.Buffer
 	enc := json.NewEncoder(&golden)
 	for i, f := range fixtures {
-		var wt modelio.WireTuple
-		check(json.Unmarshal([]byte(f.wire), &wt))
-		tu, err := wt.Decode(numAttrs, catAttrs)
+		tu, err := modelio.DecodeWireTuple([]byte(f.wire), numAttrs, catAttrs)
 		check(err)
 		check(enc.Encode(modelio.NewStreamResult(i+1, classes, mdl.Classify(tu))))
 	}

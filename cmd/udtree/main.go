@@ -324,9 +324,9 @@ func train(args []string) error {
 		return err
 	}
 	summarize()
-	fmt.Printf("trained on %d tuples: %d nodes, %d leaves, depth %d, %d entropy calcs -> %s\n",
+	fmt.Printf("trained on %d tuples: %d nodes, %d leaves, depth %d, %d entropy calcs, %d samples indexed -> %s\n",
 		ds.Len(), tree.Stats.Nodes, tree.Stats.Leaves, tree.Stats.Depth,
-		tree.Stats.Search.EntropyCalcs(), *out)
+		tree.Stats.Search.EntropyCalcs(), tree.Stats.Search.Indexed, *out)
 	return nil
 }
 

@@ -17,9 +17,8 @@ import (
 // TestLoadSmoke runs the udtload traffic generator against an in-process
 // early-exit udtserve and checks the whole measurement chain: payloads from
 // a CSV, open-loop arrivals, zero failures, server-side early-exit deltas,
-// and the client/server latency cross-check. CI sets UDT_BENCH_OUT to check
-// the JSON report in as the repo's perf trajectory (BENCH_7.json); locally
-// the report lands in a temp dir.
+// the client/server latency cross-check, and a report that round-trips
+// through loadgen.DecodeReport.
 //
 // Before generating load it proves the early-exit server is not trading
 // correctness for speed: every payload must classify identically on a full
@@ -128,23 +127,16 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	c := rep.Requests
 
-	outPath := os.Getenv("UDT_BENCH_OUT")
-	if outPath == "" {
-		outPath = filepath.Join(dir, "BENCH_7.json")
-	}
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := loadgen.DecodeReport(append(blob, '\n')); err != nil {
-		t.Fatalf("written report does not decode: %v", err)
+		t.Fatalf("report does not decode: %v", err)
 	}
-	t.Logf("report: ok=%d p50=%dµs p95=%dµs members/prediction=%.2f → %s",
+	t.Logf("report: ok=%d p50=%dµs p95=%dµs members/prediction=%.2f",
 		c.OK, rep.Latency["all"].P50Micros, rep.Latency["all"].P95Micros,
-		float64(ee.MembersEvaluated)/float64(ee.Predictions), outPath)
+		float64(ee.MembersEvaluated)/float64(ee.Predictions))
 }
 
 // classifyOne posts a single wire tuple and returns the predicted class.

@@ -205,8 +205,9 @@ func (b *builder) build(tuples []*data.Tuple, depth int, usedCat []bool) *Node {
 	// returns a shared no-op when nothing is listening, so an unobserved
 	// build pays one nil check and no time.Now pair.
 	searchDone := b.cfg.Progress.StartNode()
-	attr, z, catIdx, found := b.bestSplit(tuples, usedCat)
-	searchDone(depth, len(tuples), found)
+	attr, z, catIdx, found, work := b.bestSplit(tuples, usedCat)
+	searchDone(obs.NodeSearch{Depth: depth, Tuples: len(tuples), Found: found,
+		Calcs: work.EntropyCalcs(), Indexed: work.Indexed})
 	if !found {
 		node.Dist = leafDist(classW, total)
 		return node
@@ -298,8 +299,8 @@ func (b *builder) shouldStop(classW []float64, total float64, depth int) bool {
 }
 
 // bestSplit searches numeric and categorical attributes and returns the
-// winner. catIdx is -1 for a numeric split.
-func (b *builder) bestSplit(tuples []*data.Tuple, usedCat []bool) (attr int, z float64, catIdx int, found bool) {
+// winner and the search's work counters. catIdx is -1 for a numeric split.
+func (b *builder) bestSplit(tuples []*data.Tuple, usedCat []bool) (attr int, z float64, catIdx int, found bool, work split.Stats) {
 	finder := b.getFinder()
 	defer b.putFinder(finder)
 	res := finder.Best(tuples, b.numAttr, b.classes)
@@ -321,7 +322,9 @@ func (b *builder) bestSplit(tuples []*data.Tuple, usedCat []bool) (attr int, z f
 			}
 		}
 	}
-	return attr, z, catIdx, found
+	// A pooled finder's counters are zeroed when it is returned, so they
+	// hold this search's work alone.
+	return attr, z, catIdx, found, finder.Stats()
 }
 
 // catGain converts a categorical split score into a gain against the parent

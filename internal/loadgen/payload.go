@@ -5,8 +5,7 @@
 // throttled offered load), mixed single/batch/NDJSON-stream request classes,
 // client-side latency percentiles, and a cross-check of those percentiles
 // against the server's own /metrics latency histograms. Results serialise to
-// a versioned JSON report (BENCH_*.json) so the perf trajectory is tracked
-// in-repo PR over PR.
+// a versioned JSON report (udtload -out).
 package loadgen
 
 import (

@@ -7,9 +7,8 @@ import (
 	"udt/internal/latency"
 )
 
-// SchemaVersion identifies the report layout. Checked-in BENCH_*.json files
-// from different PRs are only comparable when their versions match, so bump
-// this whenever a field changes meaning.
+// SchemaVersion identifies the report layout. Reports are only comparable
+// when their versions match, so bump this whenever a field changes meaning.
 const SchemaVersion = 1
 
 // Mix is the request-class mix as relative weights (they need not sum to 1;
@@ -22,8 +21,8 @@ type Mix struct {
 
 func (m Mix) total() float64 { return m.Single + m.Batch + m.Stream }
 
-// RunConfig echoes the generator settings into the report so a checked-in
-// trajectory is self-describing.
+// RunConfig echoes the generator settings into the report so a saved
+// report is self-describing.
 type RunConfig struct {
 	QPS             float64            `json:"qps"`
 	DurationSeconds float64            `json:"durationSeconds"`

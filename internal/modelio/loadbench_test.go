@@ -121,22 +121,11 @@ func BenchmarkModelLoad(b *testing.B) {
 	}
 }
 
-// loadCellResult is one measured cell of the model-load smoke report.
-type loadCellResult struct {
-	Model               string `json:"model"`
-	Format              string `json:"format"`
-	FileBytes           int64  `json:"fileBytes"`
-	LoadMicros          int64  `json:"loadMicros"`
-	FirstClassifyMicros int64  `json:"firstClassifyMicros"`
-}
-
 // TestModelLoadSmoke runs the BenchmarkModelLoad comparison once as a test:
-// it checks prediction parity between formats, demands the binary container
-// load a 25-member forest at least 5x faster than the JSON document (the
-// real margin is orders of magnitude; 5x keeps CI immune to scheduler
-// noise), and writes the measured numbers as a JSON report. CI sets
-// UDT_BENCH_OUT to check the report in as the repo's cold-start trajectory
-// (BENCH_9.json); locally it lands in a temp dir.
+// it checks prediction parity between formats and demands the binary
+// container load a 25-member forest at least 5x faster than the JSON
+// document (the real margin is orders of magnitude; 5x keeps CI immune to
+// scheduler noise).
 func TestModelLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load smoke is not a -short test")
@@ -145,14 +134,9 @@ func TestModelLoadSmoke(t *testing.T) {
 	cells, probe := loadBenchFiles(t, dir, 25)
 
 	const reps = 5
-	results := make([]loadCellResult, len(cells))
+	best := make([]time.Duration, len(cells)) // fastest load per cell
 	dists := make([][]float64, len(cells))
 	for i, cell := range cells {
-		info, err := os.Stat(cell.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := loadCellResult{Model: cell.model, Format: cell.format, FileBytes: info.Size()}
 		for r := 0; r < reps; r++ {
 			start := time.Now()
 			m, err := Load(cell.path)
@@ -160,21 +144,14 @@ func TestModelLoadSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			start = time.Now()
-			dist := m.Classify(probe)
-			first := time.Since(start)
+			dists[i] = m.Classify(probe)
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
-			dists[i] = dist
-			if r == 0 || load.Microseconds() < res.LoadMicros {
-				res.LoadMicros = load.Microseconds()
-			}
-			if r == 0 || first.Microseconds() < res.FirstClassifyMicros {
-				res.FirstClassifyMicros = first.Microseconds()
+			if r == 0 || load < best[i] {
+				best[i] = load
 			}
 		}
-		results[i] = res
 	}
 
 	// Parity: both formats of each model answer the probe byte-identically.
@@ -191,30 +168,11 @@ func TestModelLoadSmoke(t *testing.T) {
 	}
 
 	// The forest rows are cells[2] (json) and cells[3] (binary).
-	jsonLoad, binLoad := results[2].LoadMicros, results[3].LoadMicros
+	jsonLoad, binLoad := best[2].Microseconds(), best[3].Microseconds()
 	speedup := float64(jsonLoad) / float64(max(binLoad, 1))
 	if speedup < 5 {
 		t.Fatalf("forest binary load %dµs is only %.1fx faster than JSON %dµs, want >= 5x",
 			binLoad, speedup, jsonLoad)
 	}
-
-	outPath := os.Getenv("UDT_BENCH_OUT")
-	if outPath == "" {
-		outPath = filepath.Join(dir, "BENCH_9.json")
-	}
-	report := struct {
-		SchemaVersion int              `json:"schemaVersion"`
-		Benchmark     string           `json:"benchmark"`
-		Trees         int              `json:"trees"`
-		Results       []loadCellResult `json:"results"`
-		ForestSpeedup float64          `json:"forestLoadSpeedup"`
-	}{1, "model-load", 25, results, speedup}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("forest-25: json %dµs vs binary %dµs (%.1fx) → %s", jsonLoad, binLoad, speedup, outPath)
+	t.Logf("forest-25: json %dµs vs binary %dµs (%.1fx)", jsonLoad, binLoad, speedup)
 }

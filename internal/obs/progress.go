@@ -11,13 +11,15 @@ import (
 )
 
 // NodeSearch is one per-node split-search observation from core.Build: how
-// long the best-split search over the node's tuples took and whether it
-// found a split (an internal node) or gave up (a leaf).
+// long the best-split search over the node's tuples took, what work it did,
+// and whether it found a split (an internal node) or gave up (a leaf).
 type NodeSearch struct {
 	Depth   int
 	Tuples  int
 	Elapsed time.Duration
 	Found   bool
+	Calcs   int64 // entropy calculations: split evaluations plus bounds
+	Indexed int64 // pdf sample points merged into attribute views
 }
 
 // MemberBuild is one finished ensemble member from forest.Train.
@@ -67,22 +69,24 @@ func (h *ProgressHook) Member(e MemberBuild) {
 
 // Shared no-op completions, so an unobserved build allocates nothing.
 var (
-	nopNodeDone   = func(depth, tuples int, found bool) {}
+	nopNodeDone   = func(NodeSearch) {}
 	nopMemberDone = func(MemberBuild) {}
 )
 
 // StartNode begins timing one split search and returns its completion
-// callback. The clock lives here, not in the training packages: core and
-// forest are determinism-critical (udtlint forbids them the wall clock), and
-// keeping time.Now behind the hook both satisfies that gate and makes the
-// no-observer case free of clock reads entirely.
-func (h *ProgressHook) StartNode() func(depth, tuples int, found bool) {
+// callback, which stamps Elapsed before dispatch. The clock lives here, not
+// in the training packages: core and forest are determinism-critical
+// (udtlint forbids them the wall clock), and keeping time.Now behind the
+// hook both satisfies that gate and makes the no-observer case free of
+// clock reads entirely.
+func (h *ProgressHook) StartNode() func(NodeSearch) {
 	if h == nil || h.OnNode == nil {
 		return nopNodeDone
 	}
 	start := time.Now()
-	return func(depth, tuples int, found bool) {
-		h.OnNode(NodeSearch{Depth: depth, Tuples: tuples, Elapsed: time.Since(start), Found: found})
+	return func(e NodeSearch) {
+		e.Elapsed = time.Since(start)
+		h.OnNode(e)
 	}
 }
 
@@ -114,6 +118,8 @@ type TrainProgress struct {
 	nodes       atomic.Int64
 	foundSplits atomic.Int64
 	searchNanos atomic.Int64
+	calcs       atomic.Int64
+	indexed     atomic.Int64
 	searchHist  latency.AtomicHist
 
 	mu      sync.Mutex
@@ -143,6 +149,8 @@ func (p *TrainProgress) onNode(e NodeSearch) {
 		p.foundSplits.Add(1)
 	}
 	p.searchNanos.Add(e.Elapsed.Nanoseconds())
+	p.calcs.Add(e.Calcs)
+	p.indexed.Add(e.Indexed)
 	p.searchHist.Observe(e.Elapsed)
 }
 
@@ -196,8 +204,9 @@ func (p *TrainProgress) Rounds() []BoostRound {
 	return append([]BoostRound(nil), p.rounds...)
 }
 
-// Summary writes the end-of-training digest: split-search totals and the
-// bucket where the median search landed.
+// Summary writes the end-of-training digest: split-search totals, the
+// bucket where the median search landed, and the work done in the paper's
+// entropy calculations and in samples indexed.
 func (p *TrainProgress) Summary(w io.Writer) {
 	n := p.nodes.Load()
 	if n == 0 {
@@ -214,5 +223,5 @@ func (p *TrainProgress) Summary(w io.Writer) {
 			line += fmt.Sprintf(", median (%d, %d]µs", lo, hi)
 		}
 	}
-	fmt.Fprintln(w, line+")")
+	fmt.Fprintf(w, "%s); %d entropy calcs, %d samples indexed\n", line, p.calcs.Load(), p.indexed.Load())
 }

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"udt/internal/forest"
 	"udt/internal/obs"
 	"udt/internal/pdf"
+	"udt/internal/split"
 )
 
 // ringDataset builds a small three-class dataset with enough structure that
@@ -68,6 +70,27 @@ func TestBuildProgressObservational(t *testing.T) {
 	b, _ := json.Marshal(hooked)
 	if !bytes.Equal(a, b) {
 		t.Fatal("progress hook changed the built tree")
+	}
+}
+
+// TestTrainProgressCountsWork: the per-node work counters add up to the
+// build's own totals, which the summary reports.
+func TestTrainProgressCountsWork(t *testing.T) {
+	ds := ringDataset(rand.New(rand.NewSource(3)), 120)
+	prog := obs.NewTrainProgress(nil)
+	tree, err := core.Build(ds, core.Config{Strategy: split.ES, MinWeight: 2, Progress: prog.Hook()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tree.Stats.Search
+	if st.Indexed == 0 {
+		t.Fatal("the build indexed nothing")
+	}
+	var sum bytes.Buffer
+	prog.Summary(&sum)
+	want := fmt.Sprintf("; %d entropy calcs, %d samples indexed\n", st.EntropyCalcs(), st.Indexed)
+	if !strings.HasSuffix(sum.String(), want) {
+		t.Fatalf("summary %q does not end with %q", sum.String(), want)
 	}
 }
 

@@ -26,32 +26,22 @@ func (f *Finder) bestES(tuples []*data.Tuple, numAttrs, numClasses int, parentH 
 	stride := f.esStride()
 
 	// Phase 1: evaluate the sampled end points of every attribute, which
-	// tightens best into the global threshold of §5.2. Views are cached
-	// for reuse by phase 2.
-	cache := newViewCache(tuples, numClasses)
-	for j := 0; j < numAttrs; j++ {
-		v := cache.get(j)
-		if v == nil {
-			continue
-		}
+	// tightens best into the global threshold of §5.2.
+	f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
 		ends := f.endsFor(v)
 		for _, i := range sampleIndices(len(ends), stride) {
 			if i+1 < len(ends) { // the largest end point is no valid split
 				f.evalCandidate(v, j, ends[i], parentH, best)
 			}
 		}
-	}
+	})
 
 	// Phase 2: coarse intervals between consecutive sampled end points.
-	for j := 0; j < numAttrs; j++ {
-		v := cache.get(j)
-		if v == nil {
-			continue
-		}
+	f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
 		ends := f.endsFor(v)
 		sampled := sampleIndices(len(ends), stride)
 		f.esExpandRange(v, j, ends, sampled, 0, len(sampled)-1, parentH, best)
-	}
+	})
 }
 
 // esExpandRange processes the coarse intervals formed by the sampled

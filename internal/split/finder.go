@@ -40,12 +40,16 @@ func (s Strategy) String() string {
 // dispersion evaluations at candidate split points and BoundEvals counts
 // interval lower-bound computations; their sum is the paper's "number of
 // entropy calculations" metric (§6.2, which states a bound costs about the
-// same as an entropy evaluation).
+// same as an entropy evaluation). Indexed counts the pdf sample points
+// merged into attribute views, the index-building work the paper's metric
+// leaves out: a serial GP or ES search indexes every attribute once per
+// phase, the other strategies and the parallel search once.
 type Stats struct {
 	SplitEvals      int64
 	BoundEvals      int64
 	PrunedIntervals int64
 	PrunedCoarse    int64
+	Indexed         int64
 }
 
 // EntropyCalcs returns the paper's cost metric: split evaluations plus
@@ -58,6 +62,7 @@ func (s *Stats) Add(other Stats) {
 	s.BoundEvals += other.BoundEvals
 	s.PrunedIntervals += other.PrunedIntervals
 	s.PrunedCoarse += other.PrunedCoarse
+	s.Indexed += other.Indexed
 }
 
 // Config parameterises a Finder.
@@ -97,6 +102,13 @@ type Finder struct {
 	// Each owns private scratch and stats, folded into the parent after
 	// every parallel region, so the hot path takes no locks.
 	workers []*Finder
+
+	// index builds attribute views in buffers the finder keeps across
+	// attributes and nodes. The serial search holds one view at a time,
+	// live; the parallel search holds one per attribute, in views.
+	index viewBuilder
+	live  attrView
+	views []attrView
 
 	// scratch buffers reused across evaluations
 	numClasses int
@@ -176,56 +188,55 @@ func (f *Finder) Best(tuples []*data.Tuple, numAttrs, numClasses int) Result {
 	return best
 }
 
-// bestSerial is the single-goroutine search over all strategies.
+// bestSerial is the single-goroutine search over all strategies. It holds
+// one attribute's view at a time, so the two-phase strategies (GP, ES)
+// index every attribute again for phase 2: a merge of the node's sorted
+// runs, not a sort.
 func (f *Finder) bestSerial(tuples []*data.Tuple, numAttrs, numClasses int, parentH float64, best *Result) {
 	switch f.cfg.Strategy {
-	case UDT:
-		for j := 0; j < numAttrs; j++ {
-			v := buildAttrView(tuples, j, numClasses)
-			if v == nil {
-				continue
-			}
-			f.evalAllSamples(v, j, parentH, best)
-		}
 	case BP, LP:
-		for j := 0; j < numAttrs; j++ {
-			v := buildAttrView(tuples, j, numClasses)
-			if v == nil {
-				continue
-			}
+		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
 			ends := f.endsFor(v)
 			f.evalEndPoints(v, j, ends, parentH, best)
 			f.evalIntervals(v, j, ends, parentH, f.cfg.Strategy == LP, best)
-		}
+		})
 	case GP:
 		// Phase 1: end points of every attribute establish the global
 		// pruning threshold. Phase 2: bound-prune heterogeneous intervals
-		// against it. Views are cached across the two phases; the cache
-		// lives only for this node's search.
-		cache := newViewCache(tuples, numClasses)
-		for j := 0; j < numAttrs; j++ {
-			v := cache.get(j)
-			if v == nil {
-				continue
-			}
+		// against it.
+		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
 			f.evalEndPoints(v, j, f.endsFor(v), parentH, best)
-		}
-		for j := 0; j < numAttrs; j++ {
-			v := cache.get(j)
-			if v == nil {
-				continue
-			}
+		})
+		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
 			f.evalIntervals(v, j, f.endsFor(v), parentH, true, best)
-		}
+		})
 	case ES:
 		f.bestES(tuples, numAttrs, numClasses, parentH, best)
-	default:
-		for j := 0; j < numAttrs; j++ {
-			v := buildAttrView(tuples, j, numClasses)
-			if v == nil {
-				continue
-			}
+	default: // UDT and unknown strategies: exhaustive
+		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
 			f.evalAllSamples(v, j, parentH, best)
+		})
+	}
+}
+
+// indexInto indexes attribute j of tuples into v with the finder's
+// buffers and counts the merged sample points. It returns v, or nil when no
+// tuple carries a pdf for j.
+func (f *Finder) indexInto(v *attrView, tuples []*data.Tuple, j, numClasses int) *attrView {
+	n := f.index.build(v, tuples, j, numClasses)
+	f.stats.Indexed += int64(n)
+	if n == 0 {
+		return nil
+	}
+	return v
+}
+
+// eachView indexes every numeric attribute in turn into the finder's one
+// live view and calls fn with it, skipping attributes no tuple carries.
+func (f *Finder) eachView(tuples []*data.Tuple, numAttrs, numClasses int, fn func(v *attrView, j int)) {
+	for j := 0; j < numAttrs; j++ {
+		if v := f.indexInto(&f.live, tuples, j, numClasses); v != nil {
+			fn(v, j)
 		}
 	}
 }

@@ -198,14 +198,16 @@ func (f *Finder) bestParallel(tuples []*data.Tuple, numAttrs, numClasses int, pa
 		defer func() { f.shared = nil }()
 	}
 
-	// Index every attribute concurrently; views are read-only afterwards.
+	// Index every attribute concurrently, each into its own view of f's
+	// with the worker's merge buffers; views are read-only afterwards.
 	// End points are derived alongside (percentile mode allocates, domain
 	// mode aliases the view).
+	f.views = resize(f.views, numAttrs)
 	views := make([]*attrView, numAttrs)
 	ends := make([][]float64, numAttrs)
 	needEnds := f.cfg.Strategy == BP || f.cfg.Strategy == LP || f.cfg.Strategy == GP || f.cfg.Strategy == ES
 	f.runTasks(numAttrs, func(w *Finder, j int) {
-		views[j] = buildAttrView(tuples, j, numClasses)
+		views[j] = w.indexInto(&f.views[j], tuples, j, numClasses)
 		if views[j] != nil && needEnds {
 			ends[j] = w.endsFor(views[j])
 		}

@@ -46,7 +46,7 @@ func (f *Finder) endsFor(v *attrView) []float64 {
 			target := total * float64(i) / float64(n+1)
 			// Smallest location where the class's cumulative count
 			// reaches the target.
-			idx := sort.Search(len(v.xs), func(k int) bool { return v.cum[c][k] >= target })
+			idx := sort.Search(len(v.xs), func(r int) bool { return v.prefix(r + 1)[c] >= target })
 			if idx >= len(v.xs) {
 				idx = len(v.xs) - 1
 			}

@@ -32,7 +32,7 @@ type TraceStep struct {
 func TraceES(tuples []*data.Tuple, attr, numClasses int, cfg Config) ([]TraceStep, error) {
 	f := NewFinder(cfg)
 	f.ensureScratch(numClasses)
-	v := buildAttrView(tuples, attr, numClasses)
+	v := f.indexInto(&f.live, tuples, attr, numClasses)
 	if v == nil {
 		return nil, fmt.Errorf("split: attribute %d carries no probability mass", attr)
 	}

@@ -12,11 +12,19 @@ import (
 // distinct pdf end points (the Q_j of §5.1). Prefix sums make every
 // class-count query — and hence every entropy evaluation — O(|C|).
 type attrView struct {
-	xs     []float64   // distinct sample locations, ascending
-	cum    [][]float64 // cum[c][i] = weighted mass of class c at locations <= xs[i]
-	totals []float64   // per-class total weighted mass
-	total  float64     // overall mass
-	ends   []float64   // distinct pdf end points (Q_j), ascending
+	xs     []float64 // distinct sample locations, ascending
+	cum    []float64 // row r (see prefix) = per-class weighted mass at xs[:r]
+	totals []float64 // per-class total weighted mass
+	total  float64   // overall mass
+	ends   []float64 // distinct pdf end points (Q_j), ascending
+}
+
+// prefix returns row r of cum: the per-class weighted mass at the r
+// smallest locations, all zero for r = 0. Rows are laid out one after
+// another, so a query reads one contiguous row.
+func (v *attrView) prefix(r int) []float64 {
+	k := len(v.totals)
+	return v.cum[r*k : r*k+k]
 }
 
 // event is one weighted pdf sample point.
@@ -26,83 +34,164 @@ type event struct {
 	class int
 }
 
-// buildAttrView indexes numeric attribute j of the given fractional tuples.
-// Tuples whose pdf for j is nil (missing) are skipped. Returns nil when no
-// mass is present.
-func buildAttrView(tuples []*data.Tuple, j, numClasses int) *attrView {
-	nEvents := 0
+// viewBuilder owns the buffers attribute views are indexed in. It keeps
+// them from one attribute and one node to the next, so a tree build stops
+// allocating for its views once it has indexed the largest node's.
+//
+// Every pdf stores its sample locations in increasing order, and
+// pdf.SplitAt keeps each piece of a straddling pdf as a prefix or suffix of
+// them, so at every node an attribute's events arrive as one sorted run per
+// tuple. The builder merges those runs instead of sorting the events: the
+// presorted attribute lists of SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996)
+// and SPRINT (Shafer, Agrawal & Mehta, VLDB 1996), rebuilt per node.
+type viewBuilder struct {
+	events []event // the node's events, one run per tuple, then merged
+	spare  []event // the other side of each merge pass
+	runs   []int   // run r is events[runs[r]:runs[r+1]]
+}
+
+// build indexes numeric attribute j of the given fractional tuples into v,
+// reusing v's storage, and returns the number of pdf sample points it
+// merged. Tuples whose pdf for j is nil (missing) are skipped; 0 means no
+// tuple carries mass for j, and v is then unusable.
+//
+// Events are ordered by location, ties by the tuple's position in tuples
+// and then by sample index, so the per-class sums at a shared location
+// always add up in the same order.
+func (b *viewBuilder) build(v *attrView, tuples []*data.Tuple, j, numClasses int) int {
+	n := 0
 	for _, t := range tuples {
 		if p := t.Num[j]; p != nil {
-			nEvents += p.NumSamples()
+			n += p.NumSamples()
 		}
 	}
-	if nEvents == 0 {
-		return nil
+	if n == 0 {
+		return 0
 	}
-	events := make([]event, 0, nEvents)
-	endSet := make([]float64, 0, 2*len(tuples))
-	for _, t := range tuples {
-		p := t.Num[j]
-		if p == nil {
-			continue
-		}
-		for i := 0; i < p.NumSamples(); i++ {
-			events = append(events, event{x: p.X(i), mass: t.Weight * p.Mass(i), class: t.Class})
-		}
-		endSet = append(endSet, p.Min(), p.Max())
-	}
-	slices.SortFunc(events, func(a, b event) int {
-		switch {
-		case a.x < b.x:
-			return -1
-		case a.x > b.x:
-			return 1
-		default:
-			return 0
-		}
-	})
-
-	v := &attrView{totals: make([]float64, numClasses)}
-	// Distinct locations with running per-class prefix sums, stored in one
-	// slab for locality.
+	b.events, b.spare = resize(b.events, n), resize(b.spare, n)
+	v.totals = resize(v.totals, numClasses)
+	b.gather(v, tuples, j)
+	events := b.merge()
 	distinct := 0
 	for i := range events {
 		if i == 0 || events[i].x != events[i-1].x {
 			distinct++
 		}
 	}
-	v.xs = make([]float64, 0, distinct)
-	slab := make([]float64, numClasses*distinct)
-	v.cum = make([][]float64, numClasses)
-	for c := range v.cum {
-		v.cum[c] = slab[c*distinct : (c+1)*distinct]
+	v.xs = resize(v.xs, distinct)
+	v.cum = resize(v.cum, numClasses*(distinct+1))
+	v.accumulate(events)
+	sort.Float64s(v.ends)
+	v.ends = dedupSorted(v.ends)
+	return n
+}
+
+// gather lays out each tuple's pdf samples for attribute j as one run of
+// events, in tuple order, and collects the pdf end points into v.ends.
+//
+//udt:hotpath
+func (b *viewBuilder) gather(v *attrView, tuples []*data.Tuple, j int) {
+	b.runs = b.runs[:0]
+	v.ends = v.ends[:0]
+	k := 0
+	for _, t := range tuples {
+		p := t.Num[j]
+		if p == nil {
+			continue
+		}
+		b.runs = append(b.runs, k)
+		for i := 0; i < p.NumSamples(); i++ {
+			b.events[k] = event{x: p.X(i), mass: t.Weight * p.Mass(i), class: t.Class}
+			k++
+		}
+		v.ends = append(v.ends, p.Min(), p.Max())
 	}
-	run := make([]float64, numClasses)
+	b.runs = append(b.runs, k)
+}
+
+// merge sorts the gathered events by location with a stable bottom-up merge
+// of adjacent runs, ping-ponging between events and spare, and returns the
+// buffer holding the result. Stability gives ties the order of the runs,
+// which is the tuples' order.
+//
+//udt:hotpath
+func (b *viewBuilder) merge() []event {
+	src, dst := b.events, b.spare
+	for len(b.runs) > 2 {
+		// Pair runs 2w and 2w+1 into run w; the boundaries shrink in
+		// place, each written after the ones it overwrites were read.
+		w := 0
+		for r := 0; r+1 < len(b.runs); r += 2 {
+			lo, mid := b.runs[r], b.runs[r+1]
+			b.runs[w] = lo
+			w++
+			if r+2 == len(b.runs) { // an odd run out is carried over
+				copy(dst[lo:mid], src[lo:mid])
+				continue
+			}
+			hi := b.runs[r+2]
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		b.runs[w] = len(src)
+		b.runs = b.runs[:w+1]
+		src, dst = dst, src
+	}
+	return src
+}
+
+// mergeRuns merges the sorted runs a and b into dst, taking from a on ties.
+//
+//udt:hotpath
+func mergeRuns(dst, a, b []event) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].x < a[i].x {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// accumulate fills v.xs with the distinct locations of the sorted events
+// and v.cum with a row of running per-class sums after each. The running
+// sums are kept in v.totals, which holds the class totals once every event
+// is in. v.xs and v.cum must already have their lengths for the distinct
+// count.
+//
+//udt:hotpath
+func (v *attrView) accumulate(events []event) {
+	run := v.totals
+	clear(run)
+	copy(v.cum, run) // row 0: nothing yet
+	k := len(run)
+	total := 0.0
 	idx := -1
 	for i, e := range events {
 		if i == 0 || e.x != events[i-1].x {
 			idx++
-			v.xs = append(v.xs, e.x)
+			v.xs[idx] = e.x
 		}
 		run[e.class] += e.mass
-		v.totals[e.class] += e.mass
-		v.total += e.mass
+		total += e.mass
 		if i == len(events)-1 || events[i+1].x != e.x {
-			for c := range run {
-				v.cum[c][idx] = run[c]
+			row := v.cum[(idx+1)*k : (idx+2)*k]
+			for c, m := range run {
+				row[c] = m
 			}
 		}
 	}
-
-	sort.Float64s(endSet)
-	v.ends = endSet[:0]
-	for i, e := range endSet {
-		if i == 0 || e != v.ends[len(v.ends)-1] {
-			v.ends = append(v.ends, e)
-		}
-	}
-	return v
+	v.total = total
 }
+
+// resize returns buf with length n. It keeps buf's array when that has
+// room, and otherwise allocates a zeroed one without copying the contents.
+func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 
 // locIndex returns the number of sample locations <= x, i.e. the exclusive
 // upper index of the left partition when splitting at x.
@@ -113,17 +202,10 @@ func (v *attrView) locIndex(x float64) int {
 // leftCounts fills out with the per-class mass at locations <= x and
 // returns the left total. out must have len == numClasses.
 func (v *attrView) leftCounts(x float64, out []float64) float64 {
-	idx := v.locIndex(x)
-	if idx == 0 {
-		for c := range out {
-			out[c] = 0
-		}
-		return 0
-	}
 	total := 0.0
-	for c := range out {
-		out[c] = v.cum[c][idx-1]
-		total += out[c]
+	for c, m := range v.prefix(v.locIndex(x)) {
+		out[c] = m
+		total += m
 	}
 	return total
 }
@@ -131,17 +213,10 @@ func (v *attrView) leftCounts(x float64, out []float64) float64 {
 // massIn fills out with the per-class mass in the half-open interval (a, b]
 // and returns its total.
 func (v *attrView) massIn(a, b float64, out []float64) float64 {
-	ia, ib := v.locIndex(a), v.locIndex(b)
+	lo, hi := v.prefix(v.locIndex(a)), v.prefix(v.locIndex(b))
 	total := 0.0
 	for c := range out {
-		var lo, hi float64
-		if ia > 0 {
-			lo = v.cum[c][ia-1]
-		}
-		if ib > 0 {
-			hi = v.cum[c][ib-1]
-		}
-		out[c] = hi - lo
+		out[c] = hi[c] - lo[c]
 		if out[c] < 0 {
 			out[c] = 0
 		}
@@ -187,36 +262,4 @@ func (v *attrView) interiorRange(a, b float64) (lo, hi int) {
 	lo = sort.Search(len(v.xs), func(i int) bool { return v.xs[i] > a })
 	hi = sort.Search(len(v.xs), func(i int) bool { return v.xs[i] >= b })
 	return lo, hi
-}
-
-// viewCache memoises per-attribute views for the duration of one node's
-// split search, so the two-phase strategies (GP, ES) index each attribute
-// once instead of twice. The cache is dropped when the search returns, so
-// peak memory stays proportional to the tuples at a single node.
-type viewCache struct {
-	tuples     []*data.Tuple
-	numClasses int
-	views      []*attrView
-	built      []bool
-}
-
-func newViewCache(tuples []*data.Tuple, numClasses int) *viewCache {
-	return &viewCache{tuples: tuples, numClasses: numClasses}
-}
-
-// get returns the view for attribute j, building it on first use.
-func (c *viewCache) get(j int) *attrView {
-	if j >= len(c.views) {
-		grown := make([]*attrView, j+1)
-		copy(grown, c.views)
-		c.views = grown
-		grownB := make([]bool, j+1)
-		copy(grownB, c.built)
-		c.built = grownB
-	}
-	if !c.built[j] {
-		c.views[j] = buildAttrView(c.tuples, j, c.numClasses)
-		c.built[j] = true
-	}
-	return c.views[j]
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"udt/internal/loadgen"
@@ -23,20 +24,20 @@ const testCSV = `x,y,class
 
 // stubHandler fakes just enough of udtserve for the CLI to run: classify
 // endpoints that always succeed and a /metrics document with a tuple
-// counter.
+// counter. Handlers run concurrently, so the counter is atomic.
 func stubHandler() http.Handler {
 	mux := http.NewServeMux()
-	classified := 0
+	var classified atomic.Int64
 	mux.HandleFunc("POST /classify", func(w http.ResponseWriter, r *http.Request) {
-		classified++
+		classified.Add(1)
 		w.Write([]byte(`{"class":"lo"}`))
 	})
 	mux.HandleFunc("POST /classify/stream", func(w http.ResponseWriter, r *http.Request) {
-		classified++
+		classified.Add(1)
 		w.Write([]byte(`{"line":1,"class":"lo"}` + "\n"))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(map[string]any{"tuplesClassified": classified})
+		json.NewEncoder(w).Encode(map[string]any{"tuplesClassified": classified.Load()})
 	})
 	return mux
 }

@@ -74,9 +74,10 @@ func TestTrainPredictEvalRoundTrip(t *testing.T) {
 		t.Fatalf("train output: %q", out)
 	}
 	// GP indexes the root's 30 pdf samples (8 of x; 22 of y, where "2;2;3"
-	// and "12;12;13" merge a repeat) once per phase; both children are pure
-	// and never searched.
-	if !strings.Contains(out, " entropy calcs, 60 samples indexed -> ") {
+	// and "12;12;13" merge a repeat) once, and no interval survives its
+	// phase-2 pruning to be indexed again; both children are pure and
+	// never searched.
+	if !strings.Contains(out, " entropy calcs, 30 samples indexed -> ") {
 		t.Fatalf("train output lacks the index work: %q", out)
 	}
 	if _, err := os.Stat(modelPath); err != nil {

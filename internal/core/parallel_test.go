@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"udt/internal/split"
@@ -126,6 +129,49 @@ func TestWorkersBuildRace(t *testing.T) {
 			t.Fatal("empty tree")
 		}
 	}
+}
+
+// TestPooledFindersAcrossConfigs: builds of different configurations
+// running at once share the process-wide finder pool, each re-aiming the
+// finders it takes; every build must still produce the model bytes it
+// produces alone.
+func TestPooledFindersAcrossConfigs(t *testing.T) {
+	ds := buildRandomDataset(rand.New(rand.NewSource(44)), 150, 3, 4, 10)
+	cfgs := []Config{
+		{Strategy: split.ES, MinWeight: 1, Parallelism: 2},
+		{Strategy: split.GP, Measure: split.Gini, MinWeight: 1, Workers: 2},
+		{Strategy: split.LP, Measure: split.GainRatio, MinWeight: 1},
+		{Strategy: split.ES, EndPoints: split.PercentileEnds, MinWeight: 1, Parallelism: 2, Workers: 2},
+	}
+	encode := func(cfg Config) []byte {
+		tr, err := Build(ds, cfg)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		b, err := json.Marshal(tr)
+		if err != nil {
+			t.Error(err)
+		}
+		return b
+	}
+	want := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = encode(cfg)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		for i, cfg := range cfgs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := encode(cfg); !bytes.Equal(got, want[i]) {
+					t.Errorf("config %d built concurrently: model bytes differ from its lone build", i)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestParallelismOneIsSerial: Parallelism <= 1 must not allocate the

@@ -148,23 +148,22 @@ type builder struct {
 
 	sem chan struct{} // parallelism tokens; nil when building serially
 
-	mu      sync.Mutex
-	stats   split.Stats
-	finders []*split.Finder // idle finder pool
+	mu    sync.Mutex
+	stats split.Stats
 }
 
-// getFinder takes a finder from the pool, creating one on demand. Finders
-// carry per-goroutine scratch space, so each concurrent subtree build gets
-// its own.
+// finders pools split finders across builds. A finder keeps the buffers it
+// indexes attribute views in, sized for the largest node it has searched,
+// so a build that takes pooled finders allocates no index of its own.
+// Finders carry per-goroutine scratch space, so each concurrent subtree
+// build takes its own.
+var finders = sync.Pool{New: func() any { return new(split.Finder) }}
+
+// getFinder takes a finder from the pool, aimed at the build's search
+// configuration with its counters zeroed.
 func (b *builder) getFinder() *split.Finder {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n := len(b.finders); n > 0 {
-		f := b.finders[n-1]
-		b.finders = b.finders[:n-1]
-		return f
-	}
-	return split.NewFinder(split.Config{
+	f := finders.Get().(*split.Finder)
+	f.Reset(split.Config{
 		Measure:      b.cfg.Measure,
 		Strategy:     b.cfg.Strategy,
 		EndPointFrac: b.cfg.EndPointFrac,
@@ -172,16 +171,16 @@ func (b *builder) getFinder() *split.Finder {
 		Percentiles:  b.cfg.Percentiles,
 		Workers:      b.cfg.Workers,
 	})
+	return f
 }
 
 // putFinder folds the finder's work counters into the build total and
 // returns it to the pool.
 func (b *builder) putFinder(f *split.Finder) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.stats.Add(f.Stats())
-	f.ResetStats()
-	b.finders = append(b.finders, f)
+	b.mu.Unlock()
+	finders.Put(f)
 }
 
 // build grows the subtree for the given fractional tuples. usedCat marks
@@ -322,8 +321,8 @@ func (b *builder) bestSplit(tuples []*data.Tuple, usedCat []bool) (attr int, z f
 			}
 		}
 	}
-	// A pooled finder's counters are zeroed when it is returned, so they
-	// hold this search's work alone.
+	// A pooled finder's counters are zeroed when it is taken, so they hold
+	// this search's work alone.
 	return attr, z, catIdx, found, finder.Stats()
 }
 

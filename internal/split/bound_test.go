@@ -27,15 +27,15 @@ func TestGainRatioBoundIsSafe(t *testing.T) {
 		parentH := entropyOf(parentCounts, -1)
 		for i := 0; i+1 < len(v.ends); i++ {
 			a, b := v.ends[i], v.ends[i+1]
-			lo, hi := v.interiorRange(a, b)
+			lo, hi := interiorRange(v, a, b)
 			if lo >= hi {
 				continue
 			}
-			kTotal := v.massIn(a, b, f.kBuf)
+			kTotal := massIn(v, a, b, f.kBuf)
 			if classify(f.kBuf) == emptyInterval {
 				continue
 			}
-			nLa := v.leftCounts(a, f.nBuf)
+			nLa := leftCounts(v, a, f.nBuf)
 			for c := range f.mBuf {
 				f.mBuf[c] = v.totals[c] - f.nBuf[c] - f.kBuf[c]
 			}
@@ -47,7 +47,7 @@ func TestGainRatioBoundIsSafe(t *testing.T) {
 			left := make([]float64, nClasses)
 			right := make([]float64, nClasses)
 			for x := lo; x < hi; x++ {
-				nL := v.leftCounts(v.xs[x], left)
+				nL := leftCounts(v, v.xs[x], left)
 				for c := range right {
 					right[c] = v.totals[c] - left[c]
 				}

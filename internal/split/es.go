@@ -27,45 +27,37 @@ func (f *Finder) bestES(tuples []*data.Tuple, numAttrs, numClasses int, parentH 
 
 	// Phase 1: evaluate the sampled end points of every attribute, which
 	// tightens best into the global threshold of §5.2.
-	f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
-		ends := f.endsFor(v)
-		for _, i := range sampleIndices(len(ends), stride) {
-			if i+1 < len(ends) { // the largest end point is no valid split
-				f.evalCandidate(v, j, ends[i], parentH, best)
+	sums := f.eachEndIndex(tuples, numAttrs, numClasses, func(s *endIndex, j int) {
+		for _, e := range sampleIndices(len(s.xs), stride) {
+			if e+1 < len(s.xs) { // the largest end point is no valid split
+				f.evalCandidate(&s.attrView, j, e, parentH, best)
 			}
 		}
 	})
 
 	// Phase 2: coarse intervals between consecutive sampled end points.
-	f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
-		ends := f.endsFor(v)
-		sampled := sampleIndices(len(ends), stride)
-		f.esExpandRange(v, j, ends, sampled, 0, len(sampled)-1, parentH, best)
-	})
+	for j := range sums {
+		if s := &sums[j]; len(s.xs) > 0 {
+			sampled := sampleIndices(len(s.xs), stride)
+			f.esExpandRange(s, j, sampled, 0, len(sampled)-1, parentH, best)
+		}
+	}
 }
 
-// esExpandRange processes the coarse intervals formed by the sampled
-// end-point indices s in [s0, s1): each is skipped when empty or
-// homogeneous (Theorems 1-2), bound-pruned against the global threshold
+// esExpandRange processes the coarse intervals between the sampled end
+// points sampled[k] and sampled[k+1] of s, for k in [s0, s1): each is
+// skipped when it has no interior or is empty or homogeneous (Theorems
+// 1-2), bound-pruned against the global threshold
 // (§5.2), and otherwise expanded back to its fine end points and intervals
 // (§5.3). It is the unit of work the parallel search batches per worker.
-func (f *Finder) esExpandRange(v *attrView, j int, ends []float64, sampled []int, s0, s1 int, parentH float64, best *Result) {
-	for s := s0; s < s1; s++ {
-		loEnd, hiEnd := sampled[s], sampled[s+1]
-		a, b := ends[loEnd], ends[hiEnd]
-		lo, hi := v.interiorRange(a, b)
-		if lo >= hi {
-			continue // nothing strictly inside the coarse interval
+func (f *Finder) esExpandRange(s *endIndex, j int, sampled []int, s0, s1 int, parentH float64, best *Result) {
+	for k := s0; k < s1; k++ {
+		loEnd, hiEnd := sampled[k], sampled[k+1]
+		kTotal, skip := f.settled(s, loEnd, hiEnd)
+		if skip {
+			continue // so are the fine end points inside
 		}
-		kTotal := v.massIn(a, b, f.kBuf)
-		kind := classify(f.kBuf)
-		if kind == emptyInterval {
-			continue // Theorem 1 covers the fine end points inside too
-		}
-		if kind == homogeneousInterval && f.cfg.Measure != GainRatio {
-			continue // Theorem 2 likewise
-		}
-		if f.pruneByBound(v, a, b, kTotal, parentH, best) {
+		if f.pruneByBound(s, loEnd, kTotal, parentH, best) {
 			f.stats.PrunedCoarse++
 			continue
 		}
@@ -73,9 +65,9 @@ func (f *Finder) esExpandRange(v *attrView, j int, ends []float64, sampled []int
 		// interval become candidates (they were not sampled), then the
 		// fine intervals are pruned individually.
 		for e := loEnd + 1; e < hiEnd; e++ {
-			f.evalCandidate(v, j, ends[e], parentH, best)
+			f.evalCandidate(&s.attrView, j, e, parentH, best)
 		}
-		f.evalIntervals(v, j, ends[loEnd:hiEnd+1], parentH, true, best)
+		f.evalIntervals(s, j, loEnd, hiEnd, parentH, true, best)
 	}
 }
 

@@ -42,8 +42,9 @@ func (s Strategy) String() string {
 // entropy calculations" metric (§6.2, which states a bound costs about the
 // same as an entropy evaluation). Indexed counts the pdf sample points
 // merged into attribute views, the index-building work the paper's metric
-// leaves out: a serial GP or ES search indexes every attribute once per
-// phase, the other strategies and the parallel search once.
+// leaves out: every strategy indexes each attribute once, and a serial GP
+// or ES search then indexes the interiors of the intervals that survive
+// pruning once more.
 type Stats struct {
 	SplitEvals      int64
 	BoundEvals      int64
@@ -104,11 +105,19 @@ type Finder struct {
 	workers []*Finder
 
 	// index builds attribute views in buffers the finder keeps across
-	// attributes and nodes. The serial search holds one view at a time,
-	// live; the parallel search holds one per attribute, in views.
+	// attributes and nodes. The serial search holds at most one full view
+	// at a time, live, plus every attribute's end-point index in sums, and
+	// indexes a surviving interval's interior into inner; the parallel
+	// search holds a full view and an end-point index per attribute.
 	index viewBuilder
 	live  attrView
+	inner attrView
 	views []attrView
+	sums  []endIndex
+
+	// node is the serial search's tuples while it runs, from which an
+	// end-point index without a full view indexes interiors.
+	node []*data.Tuple
 
 	// scratch buffers reused across evaluations
 	numClasses int
@@ -121,10 +130,24 @@ type Finder struct {
 
 // NewFinder returns a Finder for the given configuration.
 func NewFinder(cfg Config) *Finder {
+	f := new(Finder)
+	f.Reset(cfg)
+	return f
+}
+
+// Reset aims f at the configuration cfg and zeroes its work counters. It
+// keeps f's buffers, so a finder reused across searches and builds stops
+// allocating once it has indexed the largest node it meets.
+func (f *Finder) Reset(cfg Config) {
 	if cfg.EndPointFrac <= 0 || cfg.EndPointFrac > 1 {
 		cfg.EndPointFrac = 0.1
 	}
-	return &Finder{cfg: cfg}
+	f.cfg = cfg
+	f.stats = Stats{}
+	cfg.Workers = 0
+	for _, w := range f.workers {
+		w.Reset(cfg)
+	}
 }
 
 // Config returns the finder's configuration.
@@ -189,33 +212,39 @@ func (f *Finder) Best(tuples []*data.Tuple, numAttrs, numClasses int) Result {
 }
 
 // bestSerial is the single-goroutine search over all strategies. It holds
-// one attribute's view at a time, so the two-phase strategies (GP, ES)
-// index every attribute again for phase 2: a merge of the node's sorted
-// runs, not a sort.
+// at most one attribute's full view at a time. The interval strategies
+// keep each attribute's end-point index, so the two-phase ones (GP, ES)
+// make every phase-2 decision from it and index only the interiors of the
+// intervals that survive pruning.
 func (f *Finder) bestSerial(tuples []*data.Tuple, numAttrs, numClasses int, parentH float64, best *Result) {
+	f.node = tuples
+	defer func() { f.node = nil }()
 	switch f.cfg.Strategy {
 	case BP, LP:
-		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
-			ends := f.endsFor(v)
-			f.evalEndPoints(v, j, ends, parentH, best)
-			f.evalIntervals(v, j, ends, parentH, f.cfg.Strategy == LP, best)
+		f.eachEndIndex(tuples, numAttrs, numClasses, func(s *endIndex, j int) {
+			f.evalEndPoints(s, j, parentH, best)
+			f.evalIntervals(s, j, 0, len(s.xs)-1, parentH, f.cfg.Strategy == LP, best)
 		})
 	case GP:
 		// Phase 1: end points of every attribute establish the global
 		// pruning threshold. Phase 2: bound-prune heterogeneous intervals
 		// against it.
-		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
-			f.evalEndPoints(v, j, f.endsFor(v), parentH, best)
+		sums := f.eachEndIndex(tuples, numAttrs, numClasses, func(s *endIndex, j int) {
+			f.evalEndPoints(s, j, parentH, best)
 		})
-		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
-			f.evalIntervals(v, j, f.endsFor(v), parentH, true, best)
-		})
+		for j := range sums {
+			if s := &sums[j]; len(s.xs) > 0 {
+				f.evalIntervals(s, j, 0, len(s.xs)-1, parentH, true, best)
+			}
+		}
 	case ES:
 		f.bestES(tuples, numAttrs, numClasses, parentH, best)
 	default: // UDT and unknown strategies: exhaustive
-		f.eachView(tuples, numAttrs, numClasses, func(v *attrView, j int) {
-			f.evalAllSamples(v, j, parentH, best)
-		})
+		for j := 0; j < numAttrs; j++ {
+			if v := f.indexInto(&f.live, tuples, j, numClasses); v != nil {
+				f.evalAllSamples(v, j, parentH, best)
+			}
+		}
 	}
 }
 
@@ -231,14 +260,39 @@ func (f *Finder) indexInto(v *attrView, tuples []*data.Tuple, j, numClasses int)
 	return v
 }
 
-// eachView indexes every numeric attribute in turn into the finder's one
-// live view and calls fn with it, skipping attributes no tuple carries.
-func (f *Finder) eachView(tuples []*data.Tuple, numAttrs, numClasses int, fn func(v *attrView, j int)) {
-	for j := 0; j < numAttrs; j++ {
-		if v := f.indexInto(&f.live, tuples, j, numClasses); v != nil {
-			fn(v, j)
+// eachEndIndex indexes every numeric attribute in turn, keeps its
+// end-point index in f.sums[j] and calls fn with it. BP and LP index into
+// the finder's one live view, which stays the index's full view while fn
+// runs. GP and ES read no full view after phase 1, so with domain end
+// points, which are known before the merge, they index straight into the
+// end-point index and build no full view at all. It returns the end-point
+// indexes, which hold no full view afterwards, so their interiors are
+// indexed on demand; one whose attribute no tuple carries has no end
+// points, and fn is not called for it.
+func (f *Finder) eachEndIndex(tuples []*data.Tuple, numAttrs, numClasses int, fn func(s *endIndex, j int)) []endIndex {
+	direct := (f.cfg.Strategy == GP || f.cfg.Strategy == ES) && f.cfg.EndPoints == DomainEnds
+	f.sums = resize(f.sums, numAttrs)
+	for j := range f.sums {
+		s := &f.sums[j]
+		if direct {
+			n := f.index.buildEnds(s, tuples, j, numClasses)
+			f.stats.Indexed += int64(n)
+			if n == 0 {
+				s.xs = s.xs[:0]
+				continue
+			}
+		} else {
+			v := f.indexInto(&f.live, tuples, j, numClasses)
+			if v == nil {
+				s.xs = s.xs[:0]
+				continue
+			}
+			s.summarize(v, f.endsFor(v))
 		}
+		fn(s, j)
+		s.full = nil
 	}
+	return f.sums
 }
 
 // parentEntropy returns the parent node entropy needed by the gain-ratio
@@ -256,11 +310,11 @@ func (f *Finder) parentEntropy(tuples []*data.Tuple, numClasses int) float64 {
 	return entropyOf(counts, total)
 }
 
-// evalCandidate scores splitting attribute j at location x and folds the
-// outcome into best. It counts one split evaluation.
-func (f *Finder) evalCandidate(v *attrView, j int, x, parentH float64, best *Result) {
+// evalCandidate scores splitting attribute j at v's location r and folds
+// the outcome into best. It counts one split evaluation.
+func (f *Finder) evalCandidate(v *attrView, j, r int, parentH float64, best *Result) {
 	f.stats.SplitEvals++
-	nL := v.leftCounts(x, f.left)
+	nL := v.leftOf(r, f.left)
 	nR := v.total - nL
 	for c := range f.right {
 		f.right[c] = v.totals[c] - f.left[c]
@@ -270,7 +324,7 @@ func (f *Finder) evalCandidate(v *attrView, j int, x, parentH float64, best *Res
 		return
 	}
 	if score < best.Score {
-		*best = Result{Attr: j, Z: x, Score: score, Found: true}
+		*best = Result{Attr: j, Z: v.xs[r], Score: score, Found: true}
 		if f.shared != nil {
 			f.shared.update(score)
 		}
@@ -281,47 +335,70 @@ func (f *Finder) evalCandidate(v *attrView, j int, x, parentH float64, best *Res
 // location except the largest (which yields an empty right subset) is a
 // candidate.
 func (f *Finder) evalAllSamples(v *attrView, j int, parentH float64, best *Result) {
-	for i := 0; i+1 < len(v.xs); i++ {
-		f.evalCandidate(v, j, v.xs[i], parentH, best)
+	for r := 0; r+1 < len(v.xs); r++ {
+		f.evalCandidate(v, j, r, parentH, best)
 	}
 }
 
-// evalEndPoints scores each end point in ends (except the last, which gives
+// evalEndPoints scores each end point of s (except the last, which gives
 // an empty right subset).
-func (f *Finder) evalEndPoints(v *attrView, j int, ends []float64, parentH float64, best *Result) {
-	for i := 0; i+1 < len(ends); i++ {
-		f.evalCandidate(v, j, ends[i], parentH, best)
+func (f *Finder) evalEndPoints(s *endIndex, j int, parentH float64, best *Result) {
+	for e := 0; e+1 < len(s.xs); e++ {
+		f.evalCandidate(&s.attrView, j, e, parentH, best)
 	}
 }
 
-// evalIntervals walks the intervals defined by consecutive end points,
-// skipping empty and homogeneous interiors (Theorems 1-2; for gain ratio
-// only empty interiors are skippable, §7.4) and, when useBound is true,
-// bound-pruning the remaining intervals against the best score so far
-// (§5.2). Interval interiors that survive are evaluated exhaustively.
-func (f *Finder) evalIntervals(v *attrView, j int, ends []float64, parentH float64, useBound bool, best *Result) {
-	for i := 0; i+1 < len(ends); i++ {
-		a, b := ends[i], ends[i+1]
-		lo, hi := v.interiorRange(a, b)
-		if lo >= hi {
-			continue // no interior candidates
+// evalIntervals walks the fine intervals between consecutive end points
+// e0..e1 of s, skipping empty and homogeneous interiors (Theorems 1-2; for
+// gain ratio only empty interiors are skippable, §7.4) and, when useBound
+// is true, bound-pruning the remaining intervals against the best score so
+// far (§5.2). Interval interiors that survive are evaluated exhaustively.
+func (f *Finder) evalIntervals(s *endIndex, j, e0, e1 int, parentH float64, useBound bool, best *Result) {
+	for e := e0; e < e1; e++ {
+		kTotal, skip := f.settled(s, e, e+1)
+		if skip {
+			continue
 		}
-		kTotal := v.massIn(a, b, f.kBuf)
-		kind := classify(f.kBuf)
-		if kind == emptyInterval {
-			continue // Theorem 1
-		}
-		if kind == homogeneousInterval && f.cfg.Measure != GainRatio {
-			continue // Theorem 2
-		}
-		if useBound && f.pruneByBound(v, a, b, kTotal, parentH, best) {
+		if useBound && f.pruneByBound(s, e, kTotal, parentH, best) {
 			f.stats.PrunedIntervals++
 			continue
 		}
-		for x := lo; x < hi; x++ {
-			f.evalCandidate(v, j, v.xs[x], parentH, best)
+		v, lo, hi := f.interior(s, j, e)
+		for r := lo; r < hi; r++ {
+			f.evalCandidate(v, j, r, parentH, best)
 		}
 	}
+}
+
+// settled reports whether the interval between end points e0 < e1 of s
+// needs no evaluation: it has no interior candidates, or Theorems 1-2
+// settle it (no mass, or one class's mass; for gain ratio only an empty
+// interval is settled, §7.4). Otherwise f.kBuf holds the interval's
+// per-class masses and kTotal their sum.
+func (f *Finder) settled(s *endIndex, e0, e1 int) (kTotal float64, skip bool) {
+	if s.inside(e0, e1) == 0 {
+		return 0, true
+	}
+	kTotal = s.massIn(e0, e1, f.kBuf)
+	switch classify(f.kBuf) {
+	case emptyInterval:
+		return kTotal, true // Theorem 1
+	case homogeneousInterval:
+		return kTotal, f.cfg.Measure != GainRatio // Theorem 2
+	}
+	return kTotal, false
+}
+
+// interior returns a view whose locations lo..hi-1 are the locations
+// strictly inside fine interval e of s, each with the full view's row: the
+// full view itself while s holds it, else an index of that interior alone,
+// built from the serial search's tuples into the finder's inner view.
+func (f *Finder) interior(s *endIndex, j, e int) (v *attrView, lo, hi int) {
+	if s.full != nil {
+		return s.full, s.at[e], s.at[e+1] - 1
+	}
+	f.stats.Indexed += int64(f.index.interior(&f.inner, s, f.node, j, e))
+	return &f.inner, 0, len(f.inner.xs)
 }
 
 // pruneThreshold returns the score interval bounds are compared against:
@@ -340,19 +417,19 @@ func (f *Finder) pruneThreshold(best *Result) (thr float64, ok bool) {
 	return thr, ok
 }
 
-// pruneByBound reports whether the interval (a, b] can be discarded because
-// its dispersion lower bound is no better than the best score found so far.
-// It counts one bound evaluation. f.kBuf must already hold the interval's
-// per-class masses.
-func (f *Finder) pruneByBound(v *attrView, a, b, kTotal, parentH float64, best *Result) bool {
+// pruneByBound reports whether the interval of s starting at end point e0
+// can be discarded because its dispersion lower bound is no better than the
+// best score found so far. It counts one bound evaluation. f.kBuf must
+// already hold the interval's per-class masses.
+func (f *Finder) pruneByBound(s *endIndex, e0 int, kTotal, parentH float64, best *Result) bool {
 	thr, haveThr := f.pruneThreshold(best)
 	if !haveThr {
 		return false
 	}
 	f.stats.BoundEvals++
-	nLa := v.leftCounts(a, f.nBuf)
+	nLa := s.leftOf(e0, f.nBuf)
 	for c := range f.mBuf {
-		f.mBuf[c] = v.totals[c] - f.nBuf[c] - f.kBuf[c]
+		f.mBuf[c] = s.totals[c] - f.nBuf[c] - f.kBuf[c]
 		if f.mBuf[c] < 0 {
 			f.mBuf[c] = 0
 		}
@@ -368,7 +445,7 @@ func (f *Finder) pruneByBound(v *attrView, a, b, kTotal, parentH float64, best *
 	case Gini:
 		bound, ok = giniLowerBound(in), true
 	case GainRatio:
-		bound, ok = gainRatioScoreBound(in, parentH, nLa, nLa+kTotal, v.total)
+		bound, ok = gainRatioScoreBound(in, parentH, nLa, nLa+kTotal, s.total)
 	}
 	return ok && bound >= thr-scoreEps
 }

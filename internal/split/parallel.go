@@ -199,27 +199,27 @@ func (f *Finder) bestParallel(tuples []*data.Tuple, numAttrs, numClasses int, pa
 	}
 
 	// Index every attribute concurrently, each into its own view of f's
-	// with the worker's merge buffers; views are read-only afterwards.
-	// End points are derived alongside (percentile mode allocates, domain
-	// mode aliases the view).
+	// with the worker's merge buffers, and for the interval strategies
+	// into its own end-point index, which keeps the full view; both are
+	// read-only afterwards.
 	f.views = resize(f.views, numAttrs)
+	f.sums = resize(f.sums, numAttrs)
 	views := make([]*attrView, numAttrs)
-	ends := make([][]float64, numAttrs)
 	needEnds := f.cfg.Strategy == BP || f.cfg.Strategy == LP || f.cfg.Strategy == GP || f.cfg.Strategy == ES
 	f.runTasks(numAttrs, func(w *Finder, j int) {
 		views[j] = w.indexInto(&f.views[j], tuples, j, numClasses)
 		if views[j] != nil && needEnds {
-			ends[j] = w.endsFor(views[j])
+			f.sums[j].summarize(views[j], w.endsFor(views[j]))
 		}
 	})
 
 	switch f.cfg.Strategy {
 	case BP, LP:
-		f.parallelInterleaved(views, ends, numClasses, parentH, best)
+		f.parallelInterleaved(views, f.sums, numClasses, parentH, best)
 	case GP:
-		f.parallelGP(views, ends, numClasses, parentH, best)
+		f.parallelGP(views, f.sums, numClasses, parentH, best)
 	case ES:
-		f.parallelES(views, ends, numClasses, parentH, best)
+		f.parallelES(views, f.sums, numClasses, parentH, best)
 	default: // UDT and unknown strategies: exhaustive
 		f.parallelExhaustive(views, numClasses, parentH, best)
 	}
@@ -235,8 +235,8 @@ func (f *Finder) parallelExhaustive(views []*attrView, numClasses int, parentH f
 		w.ensureScratch(numClasses)
 		v := views[sp.attr]
 		local := Result{Score: math.Inf(1)}
-		for i := sp.lo; i < sp.hi; i++ {
-			w.evalCandidate(v, sp.attr, v.xs[i], parentH, &local)
+		for r := sp.lo; r < sp.hi; r++ {
+			w.evalCandidate(v, sp.attr, r, parentH, &local)
 		}
 		results[t] = local
 	})
@@ -244,17 +244,17 @@ func (f *Finder) parallelExhaustive(views []*attrView, numClasses int, parentH f
 }
 
 // runEndPointTasks evaluates the given end-point spans (each batch folds a
-// contiguous range of ends[attr] candidates) and returns one Result per
-// task in task order.
-func (f *Finder) runEndPointTasks(views []*attrView, ends [][]float64, tasks []span, numClasses int, parentH float64) []Result {
+// contiguous range of the end points of sums[attr]) and returns one Result
+// per task in task order.
+func (f *Finder) runEndPointTasks(sums []endIndex, tasks []span, numClasses int, parentH float64) []Result {
 	results := make([]Result, len(tasks))
 	f.runTasks(len(tasks), func(w *Finder, t int) {
 		sp := tasks[t]
 		w.ensureScratch(numClasses)
-		v := views[sp.attr]
+		s := &sums[sp.attr]
 		local := Result{Score: math.Inf(1)}
-		for i := sp.lo; i < sp.hi; i++ {
-			w.evalCandidate(v, sp.attr, ends[sp.attr][i], parentH, &local)
+		for e := sp.lo; e < sp.hi; e++ {
+			w.evalCandidate(&s.attrView, sp.attr, e, parentH, &local)
 		}
 		results[t] = local
 	})
@@ -267,9 +267,9 @@ func (f *Finder) runEndPointTasks(views []*attrView, ends [][]float64, tasks []s
 // lets LP seed each attribute's interval tasks with that attribute's own
 // end-point minimum — the §5.2 per-attribute threshold), but the merge
 // interleaves per attribute to reproduce the serial fold order exactly.
-func (f *Finder) parallelInterleaved(views []*attrView, ends [][]float64, numClasses int, parentH float64, best *Result) {
-	endTasks := f.spanTasks(views, endBatchMin, func(j int) int { return len(ends[j]) - 1 })
-	endResults := f.runEndPointTasks(views, ends, endTasks, numClasses, parentH)
+func (f *Finder) parallelInterleaved(views []*attrView, sums []endIndex, numClasses int, parentH float64, best *Result) {
+	endTasks := f.spanTasks(views, endBatchMin, func(j int) int { return len(sums[j].xs) - 1 })
+	endResults := f.runEndPointTasks(sums, endTasks, numClasses, parentH)
 
 	// Per-attribute end-point winners, folded in batch order.
 	endBest := make([]Result, len(views))
@@ -281,7 +281,7 @@ func (f *Finder) parallelInterleaved(views []*attrView, ends [][]float64, numCla
 	}
 
 	useBound := f.cfg.Strategy == LP
-	ivTasks := f.spanTasks(views, intervalBatchMin, func(j int) int { return len(ends[j]) - 1 })
+	ivTasks := f.spanTasks(views, intervalBatchMin, func(j int) int { return len(sums[j].xs) - 1 })
 	ivResults := make([]Result, len(ivTasks))
 	f.runTasks(len(ivTasks), func(w *Finder, t int) {
 		sp := ivTasks[t]
@@ -292,7 +292,7 @@ func (f *Finder) parallelInterleaved(views []*attrView, ends [][]float64, numCla
 		// perturb the merge (it folds right after the identical end-point
 		// result and strict-< discards it).
 		local := endBest[sp.attr]
-		w.evalIntervals(views[sp.attr], sp.attr, ends[sp.attr][sp.lo:sp.hi+1], parentH, useBound, &local)
+		w.evalIntervals(&sums[sp.attr], sp.attr, sp.lo, sp.hi, parentH, useBound, &local)
 		ivResults[t] = local
 	})
 
@@ -315,20 +315,20 @@ func (f *Finder) parallelInterleaved(views []*attrView, ends [][]float64, numCla
 // starts with full global pruning power. Phase 2 walks the fine intervals
 // in worker batches, bound-pruning against the tighter of the task-local
 // best and the shared threshold.
-func (f *Finder) parallelGP(views []*attrView, ends [][]float64, numClasses int, parentH float64, best *Result) {
-	endTasks := f.spanTasks(views, endBatchMin, func(j int) int { return len(ends[j]) - 1 })
-	mergeResults(best, f.runEndPointTasks(views, ends, endTasks, numClasses, parentH))
+func (f *Finder) parallelGP(views []*attrView, sums []endIndex, numClasses int, parentH float64, best *Result) {
+	endTasks := f.spanTasks(views, endBatchMin, func(j int) int { return len(sums[j].xs) - 1 })
+	mergeResults(best, f.runEndPointTasks(sums, endTasks, numClasses, parentH))
 	if best.Found {
 		f.shared.update(best.Score)
 	}
 
-	tasks := f.spanTasks(views, intervalBatchMin, func(j int) int { return len(ends[j]) - 1 })
+	tasks := f.spanTasks(views, intervalBatchMin, func(j int) int { return len(sums[j].xs) - 1 })
 	results := make([]Result, len(tasks))
 	f.runTasks(len(tasks), func(w *Finder, t int) {
 		sp := tasks[t]
 		w.ensureScratch(numClasses)
 		local := Result{Score: math.Inf(1)}
-		w.evalIntervals(views[sp.attr], sp.attr, ends[sp.attr][sp.lo:sp.hi+1], parentH, true, &local)
+		w.evalIntervals(&sums[sp.attr], sp.attr, sp.lo, sp.hi, parentH, true, &local)
 		results[t] = local
 	})
 	mergeResults(best, results)
@@ -338,12 +338,12 @@ func (f *Finder) parallelGP(views []*attrView, ends [][]float64, numClasses int,
 // every attribute to establish the global threshold (§5.3); phase 2 batches
 // the coarse intervals across workers, expanding survivors to their fine
 // end points and intervals.
-func (f *Finder) parallelES(views []*attrView, ends [][]float64, numClasses int, parentH float64, best *Result) {
+func (f *Finder) parallelES(views []*attrView, sums []endIndex, numClasses int, parentH float64, best *Result) {
 	stride := f.esStride()
 	sampled := make([][]int, len(views))
 	for j, v := range views {
 		if v != nil {
-			sampled[j] = sampleIndices(len(ends[j]), stride)
+			sampled[j] = sampleIndices(len(sums[j].xs), stride)
 		}
 	}
 
@@ -352,12 +352,11 @@ func (f *Finder) parallelES(views []*attrView, ends [][]float64, numClasses int,
 	f.runTasks(len(tasks), func(w *Finder, t int) {
 		sp := tasks[t]
 		w.ensureScratch(numClasses)
-		v := views[sp.attr]
-		es := ends[sp.attr]
+		s := &sums[sp.attr]
 		local := Result{Score: math.Inf(1)}
-		for _, i := range sampled[sp.attr][sp.lo:sp.hi] {
-			if i+1 < len(es) { // the largest end point is no valid split
-				w.evalCandidate(v, sp.attr, es[i], parentH, &local)
+		for _, e := range sampled[sp.attr][sp.lo:sp.hi] {
+			if e+1 < len(s.xs) { // the largest end point is no valid split
+				w.evalCandidate(&s.attrView, sp.attr, e, parentH, &local)
 			}
 		}
 		results[t] = local
@@ -373,7 +372,7 @@ func (f *Finder) parallelES(views []*attrView, ends [][]float64, numClasses int,
 		sp := tasks[t]
 		w.ensureScratch(numClasses)
 		local := Result{Score: math.Inf(1)}
-		w.esExpandRange(views[sp.attr], sp.attr, ends[sp.attr], sampled[sp.attr], sp.lo, sp.hi, parentH, &local)
+		w.esExpandRange(&sums[sp.attr], sp.attr, sampled[sp.attr], sp.lo, sp.hi, parentH, &local)
 		results[t] = local
 	})
 	mergeResults(best, results)

@@ -93,16 +93,16 @@ func TestAttrViewPrefixSums(t *testing.T) {
 		t.Fatalf("distinct locations = %d, want 3", len(v.xs))
 	}
 	out := make([]float64, 2)
-	if nL := v.leftCounts(1, out); math.Abs(nL-1) > 1e-12 || math.Abs(out[0]-1) > 1e-12 {
+	if nL := leftCounts(v, 1, out); math.Abs(nL-1) > 1e-12 || math.Abs(out[0]-1) > 1e-12 {
 		t.Fatalf("leftCounts(1) = %v total %v", out, nL)
 	}
-	if nL := v.leftCounts(2, out); math.Abs(nL-2) > 1e-12 || math.Abs(out[1]-1) > 1e-12 {
+	if nL := leftCounts(v, 2, out); math.Abs(nL-2) > 1e-12 || math.Abs(out[1]-1) > 1e-12 {
 		t.Fatalf("leftCounts(2) = %v total %v", out, nL)
 	}
-	if nL := v.leftCounts(0.5, out); nL != 0 {
+	if nL := leftCounts(v, 0.5, out); nL != 0 {
 		t.Fatalf("leftCounts below min = %v", nL)
 	}
-	if tot := v.massIn(1, 3, out); math.Abs(tot-2) > 1e-12 {
+	if tot := massIn(v, 1, 3, out); math.Abs(tot-2) > 1e-12 {
 		t.Fatalf("massIn(1,3] = %v, want 2", tot)
 	}
 	if len(v.ends) != 4 { // 1, 2, 3 and... ends are {1,3} ∪ {2,2} = {1,2,3}
@@ -253,15 +253,15 @@ func testBoundIsSafe(t *testing.T, m Measure) {
 		f.ensureScratch(nClasses)
 		for i := 0; i+1 < len(v.ends); i++ {
 			a, b := v.ends[i], v.ends[i+1]
-			lo, hi := v.interiorRange(a, b)
+			lo, hi := interiorRange(v, a, b)
 			if lo >= hi {
 				continue
 			}
-			v.massIn(a, b, f.kBuf)
+			massIn(v, a, b, f.kBuf)
 			if classify(f.kBuf) != heterogeneousInterval {
 				continue
 			}
-			nLa := v.leftCounts(a, f.nBuf)
+			nLa := leftCounts(v, a, f.nBuf)
 			_ = nLa
 			for c := range f.mBuf {
 				f.mBuf[c] = v.totals[c] - f.nBuf[c] - f.kBuf[c]
@@ -276,7 +276,7 @@ func testBoundIsSafe(t *testing.T, m Measure) {
 			left := make([]float64, nClasses)
 			right := make([]float64, nClasses)
 			for x := lo; x < hi; x++ {
-				nL := v.leftCounts(v.xs[x], left)
+				nL := leftCounts(v, v.xs[x], left)
 				for c := range right {
 					right[c] = v.totals[c] - left[c]
 				}
@@ -442,6 +442,36 @@ func TestResetStats(t *testing.T) {
 	f.ResetStats()
 	if f.Stats() != (Stats{}) {
 		t.Fatal("ResetStats did not zero counters")
+	}
+}
+
+// TestResetReaimsFinder: a finder reset to a new configuration, its
+// parallel workers included, searches as a new finder with that
+// configuration does, after searches of another one left their buffers
+// and counters behind. (A parallel search's counters depend on timing, so
+// only serial ones are compared.)
+func TestResetReaimsFinder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	big := randomDataset(rng, 200, 3, 3, 12)
+	small := randomDataset(rng, 30, 3, 3, 8)
+	f := NewFinder(Config{Measure: Gini, Strategy: ES, Workers: 4})
+	f.Best(big, 3, 3)
+	f.Best(small, 3, 3)
+	for _, cfg := range []Config{
+		{Measure: Entropy, Strategy: GP, Workers: 4},
+		{Measure: GainRatio, Strategy: ES, EndPoints: PercentileEnds},
+		{Measure: Entropy, Strategy: LP},
+	} {
+		for _, tuples := range [][]*data.Tuple{big, small} {
+			f.Reset(cfg)
+			fresh := NewFinder(cfg)
+			got, want := f.Best(tuples, 3, 3), fresh.Best(tuples, 3, 3)
+			sameStats := cfg.Workers > 1 || f.Stats() == fresh.Stats()
+			if got != want || !sameStats || f.Config() != fresh.Config() {
+				t.Fatalf("%+v, %d tuples: reset finder %+v %+v, new finder %+v %+v",
+					cfg, len(tuples), got, f.Stats(), want, fresh.Stats())
+			}
+		}
 	}
 }
 

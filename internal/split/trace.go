@@ -71,11 +71,13 @@ func TraceES(tuples []*data.Tuple, attr, numClasses int, cfg Config) ([]TraceSte
 
 	// Establish the pruning threshold from the sampled end points, as
 	// phase 1 of UDT-ES does.
+	s := new(endIndex)
+	s.summarize(v, ends)
 	parentH := f.parentEntropy(tuples, numClasses)
 	best := Result{Score: math.Inf(1)}
 	for _, idx := range sampledIdx {
 		if idx+1 < len(ends) {
-			f.evalCandidate(v, attr, ends[idx], parentH, &best)
+			f.evalCandidate(&s.attrView, attr, idx, parentH, &best)
 		}
 	}
 
@@ -84,46 +86,28 @@ func TraceES(tuples []*data.Tuple, attr, numClasses int, cfg Config) ([]TraceSte
 	var surviving [][2]float64
 	var expandedEnds []float64
 	var fineSurviving [][2]float64
-	for s := 0; s+1 < len(sampledIdx); s++ {
-		loEnd, hiEnd := sampledIdx[s], sampledIdx[s+1]
-		a, b := ends[loEnd], ends[hiEnd]
-		lo, hi := v.interiorRange(a, b)
-		if lo >= hi {
+	for k := 0; k+1 < len(sampledIdx); k++ {
+		loEnd, hiEnd := sampledIdx[k], sampledIdx[k+1]
+		kTotal, skip := f.settled(s, loEnd, hiEnd)
+		if skip || f.pruneByBound(s, loEnd, kTotal, parentH, &best) {
 			continue
 		}
-		kTotal := v.massIn(a, b, f.kBuf)
-		kind := classify(f.kBuf)
-		if kind == emptyInterval || (kind == homogeneousInterval && f.cfg.Measure != GainRatio) {
-			continue
-		}
-		if f.pruneByBound(v, a, b, kTotal, parentH, &best) {
-			continue
-		}
-		surviving = append(surviving, [2]float64{a, b})
+		surviving = append(surviving, [2]float64{ends[loEnd], ends[hiEnd]})
 		// Row 7 material: the original end points inside the survivor.
 		for e := loEnd; e <= hiEnd; e++ {
 			expandedEnds = append(expandedEnds, ends[e])
 			if e > loEnd && e+1 <= hiEnd && e+1 < len(ends) {
-				f.evalCandidate(v, attr, ends[e], parentH, &best)
+				f.evalCandidate(&s.attrView, attr, e, parentH, &best)
 			}
 		}
 		// Row 9 material: fine intervals inside the survivor that still
 		// need their interiors evaluated.
 		for e := loEnd; e+1 <= hiEnd; e++ {
-			fa, fb := ends[e], ends[e+1]
-			flo, fhi := v.interiorRange(fa, fb)
-			if flo >= fhi {
+			fTotal, skip := f.settled(s, e, e+1)
+			if skip || f.pruneByBound(s, e, fTotal, parentH, &best) {
 				continue
 			}
-			fTotal := v.massIn(fa, fb, f.kBuf)
-			fkind := classify(f.kBuf)
-			if fkind == emptyInterval || (fkind == homogeneousInterval && f.cfg.Measure != GainRatio) {
-				continue
-			}
-			if f.pruneByBound(v, fa, fb, fTotal, parentH, &best) {
-				continue
-			}
-			fineSurviving = append(fineSurviving, [2]float64{fa, fb})
+			fineSurviving = append(fineSurviving, [2]float64{ends[e], ends[e+1]})
 		}
 	}
 	add("surviving coarse intervals Y'", nil, surviving)

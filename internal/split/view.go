@@ -45,9 +45,10 @@ type event struct {
 // presorted attribute lists of SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996)
 // and SPRINT (Shafer, Agrawal & Mehta, VLDB 1996), rebuilt per node.
 type viewBuilder struct {
-	events []event // the node's events, one run per tuple, then merged
-	spare  []event // the other side of each merge pass
-	runs   []int   // run r is events[runs[r]:runs[r+1]]
+	events []event   // the node's events, one run per tuple, then merged
+	spare  []event   // the other side of each merge pass
+	runs   []int     // run r is events[runs[r]:runs[r+1]]
+	sums   []float64 // an interior's running per-class sums
 }
 
 // build indexes numeric attribute j of the given fractional tuples into v,
@@ -59,6 +60,37 @@ type viewBuilder struct {
 // and then by sample index, so the per-class sums at a shared location
 // always add up in the same order.
 func (b *viewBuilder) build(v *attrView, tuples []*data.Tuple, j, numClasses int) int {
+	events := b.merged(v, tuples, j, numClasses)
+	if len(events) == 0 {
+		return 0
+	}
+	v.total = v.fill(events, v.totals)
+	return len(events)
+}
+
+// buildEnds indexes numeric attribute j of tuples straight into the
+// end-point index s at the pdf domain end points, without a full view, and
+// returns the number of pdf sample points it merged (0 leaves s unusable).
+// The merged events are added up as build adds them, but a row is kept
+// only at each end point, so s is what summarize makes of build's view.
+func (b *viewBuilder) buildEnds(s *endIndex, tuples []*data.Tuple, j, numClasses int) int {
+	events := b.merged(&s.attrView, tuples, j, numClasses)
+	if len(events) == 0 {
+		return 0
+	}
+	s.xs = append(s.xs[:0], s.ends...)
+	s.at = resize(s.at, len(s.xs))
+	s.cum = resize(s.cum, numClasses*(len(s.xs)+1))
+	s.total = s.walk(events)
+	s.full = nil
+	return len(events)
+}
+
+// merged lays out attribute j of tuples as one sorted run of events per
+// tuple and merges them; it returns the merged events, none when no tuple
+// carries a pdf for j. It leaves v.ends holding the distinct pdf end
+// points, ascending, and v.totals zeroed with one entry per class.
+func (b *viewBuilder) merged(v *attrView, tuples []*data.Tuple, j, numClasses int) []event {
 	n := 0
 	for _, t := range tuples {
 		if p := t.Num[j]; p != nil {
@@ -66,23 +98,35 @@ func (b *viewBuilder) build(v *attrView, tuples []*data.Tuple, j, numClasses int
 		}
 	}
 	if n == 0 {
-		return 0
+		return nil
 	}
 	b.events, b.spare = resize(b.events, n), resize(b.spare, n)
 	v.totals = resize(v.totals, numClasses)
 	b.gather(v, tuples, j)
-	events := b.merge()
-	distinct := 0
-	for i := range events {
-		if i == 0 || events[i].x != events[i-1].x {
-			distinct++
-		}
-	}
-	v.xs = resize(v.xs, distinct)
-	v.cum = resize(v.cum, numClasses*(distinct+1))
-	v.accumulate(events)
+	clear(v.totals)
 	sort.Float64s(v.ends)
 	v.ends = dedupSorted(v.ends)
+	return b.merge()
+}
+
+// interior indexes into v the locations of attribute j of tuples strictly
+// inside fine interval e of s, that is between its end points s.xs[e] and
+// s.xs[e+1], and returns the number of pdf sample points it merged; s must
+// index the same tuples. v's rows are the full view's rows
+// at those locations, its row 0 the full view's row at s.xs[e], and its
+// class totals the node's, so a candidate in v scores as it would in the
+// full view. The sums start from the stored row and add the interior's
+// events in the full view's order (location, then the tuple's position,
+// then sample index), so they are the same additions in the same order:
+// every row is the full view's, bit for bit.
+func (b *viewBuilder) interior(v *attrView, s *endIndex, tuples []*data.Tuple, j, e int) int {
+	b.gatherInside(tuples, j, s.xs[e], s.xs[e+1])
+	n := len(b.events)
+	b.spare = resize(b.spare, n)
+	b.sums = append(b.sums[:0], s.prefix(e+1)...)
+	v.fill(b.merge(), b.sums)
+	v.totals = append(v.totals[:0], s.totals...)
+	v.total = s.total
 	return n
 }
 
@@ -107,6 +151,31 @@ func (b *viewBuilder) gather(v *attrView, tuples []*data.Tuple, j int) {
 		v.ends = append(v.ends, p.Min(), p.Max())
 	}
 	b.runs = append(b.runs, k)
+}
+
+// gatherInside lays out, as one run per tuple in tuple order, each tuple's
+// pdf samples for attribute j strictly inside (lo, hi).
+//
+//udt:hotpath
+func (b *viewBuilder) gatherInside(tuples []*data.Tuple, j int, lo, hi float64) {
+	b.runs = b.runs[:0]
+	b.events = b.events[:0]
+	for _, t := range tuples {
+		p := t.Num[j]
+		if p == nil || p.Max() <= lo || p.Min() >= hi {
+			continue
+		}
+		n := p.NumSamples()
+		i := sort.Search(n, func(i int) bool { return p.X(i) > lo })
+		if i == n || p.X(i) >= hi {
+			continue
+		}
+		b.runs = append(b.runs, len(b.events))
+		for ; i < n && p.X(i) < hi; i++ {
+			b.events = append(b.events, event{x: p.X(i), mass: t.Weight * p.Mass(i), class: t.Class})
+		}
+	}
+	b.runs = append(b.runs, len(b.events))
 }
 
 // merge sorts the gathered events by location with a stable bottom-up merge
@@ -158,17 +227,29 @@ func mergeRuns(dst, a, b []event) {
 	copy(dst[k:], b[j:])
 }
 
+// fill sizes v for the distinct locations of the sorted events and
+// accumulates them onto the running per-class sums in run, which row 0
+// copies. It returns the events' total mass.
+func (v *attrView) fill(events []event, run []float64) float64 {
+	distinct := 0
+	for i := range events {
+		if i == 0 || events[i].x != events[i-1].x {
+			distinct++
+		}
+	}
+	v.xs = resize(v.xs, distinct)
+	v.cum = resize(v.cum, len(run)*(distinct+1))
+	return v.accumulate(events, run)
+}
+
 // accumulate fills v.xs with the distinct locations of the sorted events
-// and v.cum with a row of running per-class sums after each. The running
-// sums are kept in v.totals, which holds the class totals once every event
-// is in. v.xs and v.cum must already have their lengths for the distinct
-// count.
+// and v.cum with a row of the running per-class sums in run after each,
+// row 0 holding run as it came in. It returns the events' total mass. v.xs
+// and v.cum must already have their lengths for the distinct count.
 //
 //udt:hotpath
-func (v *attrView) accumulate(events []event) {
-	run := v.totals
-	clear(run)
-	copy(v.cum, run) // row 0: nothing yet
+func (v *attrView) accumulate(events []event, run []float64) float64 {
+	copy(v.cum, run)
 	k := len(run)
 	total := 0.0
 	idx := -1
@@ -186,12 +267,24 @@ func (v *attrView) accumulate(events []event) {
 			}
 		}
 	}
-	v.total = total
+	return total
 }
 
 // resize returns buf with length n. It keeps buf's array when that has
 // room, and otherwise allocates a zeroed one without copying the contents.
 func resize[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// leftOf fills out with the per-class mass at v's locations up to and
+// including location r and returns its total: the left side of a split
+// at v.xs[r].
+func (v *attrView) leftOf(r int, out []float64) float64 {
+	total := 0.0
+	for c, m := range v.prefix(r + 1) {
+		out[c] = m
+		total += m
+	}
+	return total
+}
 
 // locIndex returns the number of sample locations <= x, i.e. the exclusive
 // upper index of the left partition when splitting at x.
@@ -199,21 +292,81 @@ func (v *attrView) locIndex(x float64) int {
 	return sort.Search(len(v.xs), func(i int) bool { return v.xs[i] > x })
 }
 
-// leftCounts fills out with the per-class mass at locations <= x and
-// returns the left total. out must have len == numClasses.
-func (v *attrView) leftCounts(x float64, out []float64) float64 {
+// endIndex is one attribute's index at its interval end points. Phase 1 of
+// a search fills it from the attribute's full view (summarize) or, for
+// domain end points, straight from the merged events (buildEnds); every
+// later decision reads it alone: which intervals have interior candidates,
+// their per-class masses, Theorems 1-2, the bound, and the end points' own
+// scores. Its embedded view's locations are the end points, and its row
+// e+1 is the full view's row at end point e, so those decisions add and
+// subtract exactly the floats the full view would. Only an interval that
+// survives them needs its interior's rows (see Finder.interior).
+type endIndex struct {
+	attrView // xs: the end points; cum, totals, total: the full view's, at them
+
+	// at[e] is the number of the full view's locations <= xs[e]. Every
+	// end point is itself one of those locations (a pdf's first or last
+	// sample, or a percentile location), so the locations strictly between
+	// end points e0 < e1 are the full view's at[e0] to at[e1]-2.
+	at []int
+
+	// full is the attribute's full view while the search still holds it.
+	// When it is nil an interior is indexed on demand.
+	full *attrView
+}
+
+// summarize fills s with the rows of v at the end points ends, which must
+// be ascending locations of v, and holds v as its full view. It keeps no
+// reference to ends.
+func (s *endIndex) summarize(v *attrView, ends []float64) {
+	s.xs = append(s.xs[:0], ends...)
+	s.totals = append(s.totals[:0], v.totals...)
+	s.total = v.total
+	s.at = resize(s.at, len(ends))
+	s.cum = resize(s.cum, len(v.totals)*(len(ends)+1))
+	copy(s.prefix(0), v.prefix(0))
+	for e, x := range ends {
+		s.at[e] = v.locIndex(x)
+		copy(s.prefix(e+1), v.prefix(s.at[e]))
+	}
+	s.full = v
+}
+
+// walk adds up the sorted events as accumulate does, into s.totals, and
+// keeps the running sums only at the end points: row e+1 after the last
+// event at s.xs[e], with at[e] the distinct locations up to it. It returns
+// the events' total mass. s.at and s.cum must already have their lengths.
+//
+//udt:hotpath
+func (s *endIndex) walk(events []event) float64 {
+	run := s.totals
+	k := len(run)
+	copy(s.cum, run) // row 0: nothing yet
 	total := 0.0
-	for c, m := range v.prefix(v.locIndex(x)) {
-		out[c] = m
-		total += m
+	distinct, e := 0, 0
+	for i, ev := range events {
+		if i == 0 || ev.x != events[i-1].x {
+			distinct++
+		}
+		run[ev.class] += ev.mass
+		total += ev.mass
+		if e < len(s.xs) && ev.x == s.xs[e] && (i == len(events)-1 || events[i+1].x != ev.x) {
+			copy(s.cum[(e+1)*k:(e+2)*k], run)
+			s.at[e] = distinct
+			e++
+		}
 	}
 	return total
 }
 
-// massIn fills out with the per-class mass in the half-open interval (a, b]
-// and returns its total.
-func (v *attrView) massIn(a, b float64, out []float64) float64 {
-	lo, hi := v.prefix(v.locIndex(a)), v.prefix(v.locIndex(b))
+// inside returns the number of the full view's locations strictly between
+// end points e0 < e1: the interval's interior candidates.
+func (s *endIndex) inside(e0, e1 int) int { return s.at[e1] - 1 - s.at[e0] }
+
+// massIn fills out with the per-class mass in the half-open interval
+// between end points e0 < e1 and returns its total.
+func (s *endIndex) massIn(e0, e1 int, out []float64) float64 {
+	lo, hi := s.prefix(e0+1), s.prefix(e1+1)
 	total := 0.0
 	for c := range out {
 		out[c] = hi[c] - lo[c]
@@ -255,11 +408,3 @@ func classify(k []float64) intervalKind {
 // intervalEps treats vanishing interval mass as empty, guarding against
 // floating-point dust from pdf renormalisation.
 const intervalEps = 1e-12
-
-// interiorRange returns the index range [lo, hi) of v.xs strictly inside
-// the open interval (a, b).
-func (v *attrView) interiorRange(a, b float64) (lo, hi int) {
-	lo = sort.Search(len(v.xs), func(i int) bool { return v.xs[i] > a })
-	hi = sort.Search(len(v.xs), func(i int) bool { return v.xs[i] >= b })
-	return lo, hi
-}

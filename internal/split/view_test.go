@@ -131,6 +131,142 @@ func sameView(got, want *attrView) error {
 	return sameBits("ends", got.ends, want.ends)
 }
 
+// locIndex-based queries on a full view, by location value: the
+// references the end-point index and the bound tests are checked against.
+
+// leftCounts fills out with v's per-class mass at locations <= x and
+// returns its total.
+func leftCounts(v *attrView, x float64, out []float64) float64 {
+	total := 0.0
+	for c, m := range v.prefix(v.locIndex(x)) {
+		out[c] = m
+		total += m
+	}
+	return total
+}
+
+// massIn fills out with v's per-class mass in the half-open interval (a, b]
+// and returns its total.
+func massIn(v *attrView, a, b float64, out []float64) float64 {
+	lo, hi := v.prefix(v.locIndex(a)), v.prefix(v.locIndex(b))
+	total := 0.0
+	for c := range out {
+		out[c] = hi[c] - lo[c]
+		if out[c] < 0 {
+			out[c] = 0
+		}
+		total += out[c]
+	}
+	return total
+}
+
+// interiorRange returns the index range [lo, hi) of v.xs strictly inside
+// the open interval (a, b).
+func interiorRange(v *attrView, a, b float64) (lo, hi int) {
+	lo = sort.Search(len(v.xs), func(i int) bool { return v.xs[i] > a })
+	hi = sort.Search(len(v.xs), func(i int) bool { return v.xs[i] >= b })
+	return lo, hi
+}
+
+// sameInteriors checks the end-point index s against the full view v it
+// indexes at ends, and every fine interval of ends with interior
+// candidates: the interior b indexes on demand from tuples must hold v's
+// locations and rows inside the interval, bit for bit, and count the
+// samples strictly inside it.
+func sameInteriors(b *viewBuilder, v *attrView, s *endIndex, ends []float64, tuples []*data.Tuple) error {
+	var in attrView
+	if err := sameBits("end points", s.xs, ends); err != nil {
+		return err
+	}
+	if err := sameBits("end-point totals", s.totals, v.totals); err != nil {
+		return err
+	}
+	if err := sameBits("end-point total", []float64{s.total}, []float64{v.total}); err != nil {
+		return err
+	}
+	if err := sameBits("end row 0", s.prefix(0), v.prefix(0)); err != nil {
+		return err
+	}
+	for e, x := range ends {
+		if s.at[e] != v.locIndex(x) {
+			return fmt.Errorf("end %d (%v): at %d, full view %d", e, x, s.at[e], v.locIndex(x))
+		}
+		if err := sameBits(fmt.Sprintf("end %d row", e), s.prefix(e+1), v.prefix(v.locIndex(x))); err != nil {
+			return err
+		}
+	}
+	// inside[e] counts the samples strictly inside fine interval e.
+	inside := make([]int, len(ends))
+	for _, t := range tuples {
+		if p := t.Num[0]; p != nil {
+			for i := 0; i < p.NumSamples(); i++ {
+				e := sort.SearchFloat64s(ends, p.X(i)) - 1
+				if e >= 0 && e+1 < len(ends) && ends[e+1] != p.X(i) {
+					inside[e]++
+				}
+			}
+		}
+	}
+	k := len(v.totals)
+	got, want := make([]float64, k), make([]float64, k)
+	for e := 0; e+1 < len(ends); e++ {
+		a, z := ends[e], ends[e+1]
+		gt, wt := s.massIn(e, e+1, got), massIn(v, a, z, want)
+		if err := sameBits(fmt.Sprintf("interval %d mass", e), append(got, gt), append(want, wt)); err != nil {
+			return err
+		}
+		lo, hi := interiorRange(v, a, z)
+		if n := s.inside(e, e+1); n != hi-lo {
+			return fmt.Errorf("interval %d (%v, %v): %d inside, full view has %d", e, a, z, n, hi-lo)
+		}
+		if lo == hi {
+			continue
+		}
+		if n := b.interior(&in, s, tuples, 0, e); n != inside[e] {
+			return fmt.Errorf("interval %d (%v, %v): merged %d samples, %d inside", e, a, z, n, inside[e])
+		}
+		name := fmt.Sprintf("interval %d (%v, %v) ", e, a, z)
+		if err := sameBits(name+"xs", in.xs, v.xs[lo:hi]); err != nil {
+			return err
+		}
+		if err := sameBits(name+"cum", in.cum, v.cum[lo*k:(hi+1)*k]); err != nil {
+			return err
+		}
+		if err := sameBits(name+"totals", in.totals, v.totals); err != nil {
+			return err
+		}
+		if err := sameBits(name+"total", []float64{in.total}, []float64{v.total}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkEndIndexes checks, against the full view v of tuples that b built,
+// every end-point index a serial search keeps: summarized from v at its
+// domain and at its percentile end points, and built straight from tuples
+// by b at the domain end points, as GP and ES build it.
+func checkEndIndexes(b *viewBuilder, v *attrView, tuples []*data.Tuple) error {
+	pct := NewFinder(Config{EndPoints: PercentileEnds, Percentiles: 3}).endsFor(v)
+	domain := append([]float64(nil), v.ends...)
+	for _, tc := range []struct {
+		name string
+		ends []float64
+		make func(s *endIndex)
+	}{
+		{"domain ends, summarized", domain, func(s *endIndex) { s.summarize(v, domain) }},
+		{"percentile ends, summarized", pct, func(s *endIndex) { s.summarize(v, pct) }},
+		{"domain ends, built directly", domain, func(s *endIndex) { b.buildEnds(s, tuples, 0, len(v.totals)) }},
+	} {
+		var s endIndex
+		tc.make(&s)
+		if err := sameInteriors(b, v, &s, tc.ends, tuples); err != nil {
+			return fmt.Errorf("%s: %w", tc.name, err)
+		}
+	}
+	return nil
+}
+
 // mergeOracleTuples draws a node's tuples with everything the merge must
 // order exactly: missing values, SplitAt pieces, point pdfs on a coarse
 // integer grid (heavy cross-tuple ties, several classes per location),
@@ -200,11 +336,45 @@ func TestAttrViewMergeMatchesSort(t *testing.T) {
 	}
 }
 
+// TestInteriorMatchesFullView: every end-point index a serial search keeps
+// (summarized from the full view at domain or percentile end points, or
+// built directly at domain end points) holds the full view's rows at its
+// end points, and an interval interior indexed on demand from the node's
+// tuples and the stored end-point row holds the full view's locations and
+// rows inside the interval, bit for bit, for every fine interval with
+// interior candidates, on nodes of every shape, with one builder reused
+// throughout.
+func TestInteriorMatchesFullView(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var b viewBuilder
+	var v attrView
+	intervals := 0
+	for trial := 0; trial < 3000; trial++ {
+		numClasses := 1 + rng.Intn(4)
+		tuples := mergeOracleTuples(rng, numClasses)
+		if b.build(&v, tuples, 0, numClasses) == 0 {
+			continue
+		}
+		if err := checkEndIndexes(&b, &v, tuples); err != nil {
+			t.Fatalf("trial %d (%d tuples, %d classes): %v", trial, len(tuples), numClasses, err)
+		}
+		for e := 0; e+1 < len(v.ends); e++ {
+			if lo, hi := interiorRange(&v, v.ends[e], v.ends[e+1]); lo < hi {
+				intervals++
+			}
+		}
+	}
+	if intervals < 1000 {
+		t.Fatalf("only %d intervals with interiors checked", intervals)
+	}
+}
+
 // TestIndexedCounts: Stats.Indexed counts every sample point merged into a
-// view. A root-only exhaustive (UDT) search indexes each sample once; a
-// serial ES search holds one view at a time and so indexes each sample
-// twice, once per phase; the parallel ES search keeps every view and
-// indexes each once.
+// view. Every strategy indexes each sample once; a serial GP or ES search
+// keeps only each attribute's end-point index after phase 1, so it then
+// indexes the interiors of the fine intervals that survive pruning, a
+// few percent more; the parallel ES search keeps every full view and
+// indexes nothing more.
 func TestIndexedCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tuples := randomDataset(rng, 120, 3, 3, 10)
@@ -224,20 +394,26 @@ func TestIndexedCounts(t *testing.T) {
 		{Config{Strategy: UDT}, samples},
 		{Config{Strategy: BP}, samples},
 		{Config{Strategy: LP}, samples},
-		{Config{Strategy: GP}, 2 * samples},
-		{Config{Strategy: ES}, 2 * samples},
+		{Config{Strategy: GP}, 2712},
+		{Config{Strategy: ES}, 2713},
 		{Config{Strategy: ES, Workers: 4}, samples},
 	} {
 		f := NewFinder(tc.cfg)
 		f.Best(tuples, 3, 3)
-		if got := f.Stats().Indexed; got != tc.want {
-			t.Errorf("%v workers %d: Indexed %d, want %d", tc.cfg.Strategy, tc.cfg.Workers, got, tc.want)
+		got := f.Stats().Indexed
+		if got != tc.want {
+			t.Errorf("%v workers %d: Indexed %d, want %d (%d samples)", tc.cfg.Strategy, tc.cfg.Workers, got, tc.want, samples)
+		}
+		if got < samples || float64(got) >= 1.1*float64(samples) {
+			t.Errorf("%v workers %d: Indexed %d, want samples (%d) up to 1.1 times", tc.cfg.Strategy, tc.cfg.Workers, got, samples)
 		}
 	}
 }
 
 // FuzzAttrViewMerge decodes arbitrary bytes into a node's runs and requires
-// the merged view to match the reference sort bit for bit. Each tuple takes
+// the merged view to match the reference sort bit for bit, and every
+// end-point index and interval interior indexed on demand to match the
+// view. Each tuple takes
 // four bytes: its sample count (0 is a missing value, 7 repeats an earlier
 // tuple's pointer), class, weight, and where its increasing locations start
 // on a coarse grid; each sample then takes one byte for its step from the
@@ -275,13 +451,21 @@ func FuzzAttrViewMerge(f *testing.F) {
 		var b viewBuilder
 		var v attrView
 		// Build twice into the same buffers: a reused builder must not
-		// carry anything over from the previous view.
+		// carry anything over from the previous view. End-point indexes
+		// and interiors, built with the same builder, must hold the
+		// view's rows.
 		for pass := 0; pass < 2; pass++ {
 			var got *attrView
 			if b.build(&v, tuples, 0, numClasses) > 0 {
 				got = &v
 			}
 			if err := sameView(got, referenceView(tuples, 0, numClasses)); err != nil {
+				t.Fatalf("pass %d, %d tuples: %v", pass, len(tuples), err)
+			}
+			if got == nil {
+				continue
+			}
+			if err := checkEndIndexes(&b, got, tuples); err != nil {
 				t.Fatalf("pass %d, %d tuples: %v", pass, len(tuples), err)
 			}
 		}

@@ -187,67 +187,76 @@ func (c *Compiled) ClassUpperBounds() []float64 {
 func (c *Compiled) NumNodes() int { return c.nodes }
 
 // cframe is one pending branch of the iterative descent: a node to visit,
-// the probability mass arriving there, and the tuple's current attribute
-// views (conditional pdfs produced by splits along the path).
+// the probability mass arriving there, and the head of its path's override
+// list (-1 while the path has narrowed no attribute).
 type cframe struct {
 	node int32
+	head int32
 	w    float64
-	num  []*pdf.PDF
-	cat  []data.CatDist
+}
+
+// override is one entry of a path's override list. The entries of every
+// path of a descent share the slab scratch.ovr: a straddle or a
+// categorical branch appends an entry that names the one its path had
+// before (prev), so a path's list is persistent, no longer than its depth,
+// and never copied. A numeric entry (key a) holds the piece nested SplitAt
+// calls would have made of numeric attribute a: the tuple pdf's samples
+// [lo, hi), renormalised by the steps s.steps[cs:ce], oldest first. A
+// categorical entry (key ^a) records that categorical attribute a collapsed
+// onto domain value lo, the NewCatPoint of the recursive path.
+type override struct {
+	prev, key int32
+	lo, hi    int32
+	cs, ce    int32
 }
 
 // scratch holds the reusable state of one descent. All slices are slabs that
 // grow to the working-set size and are then recycled via scratchPool, so a
-// warm classify call allocates nothing. Views into a slab stay valid when
-// the slab later grows: append moves the backing array but the old one
-// remains reachable and is never written again.
+// warm classify call allocates nothing. Their size depends on the tree and
+// on which nodes the tuple straddles, never on its pdfs' sample counts.
 type scratch struct {
 	frames []cframe
-	nums   []*pdf.PDF     // slab for per-frame numeric attribute views
-	cats   []data.CatDist // slab for per-frame categorical attribute views
-	mass   []float64      // slab for collapsed point categorical distributions
-	out    []float64      // Predict's distribution buffer
-	arena  pdf.SplitArena
+	ovr    []override
+	steps  []pdf.Step // renormalisation chains of the numeric overrides
+	out    []float64  // Predict's distribution buffer
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func (s *scratch) reset() {
 	s.frames = s.frames[:0]
-	s.nums = s.nums[:0]
-	s.cats = s.cats[:0]
-	s.mass = s.mass[:0]
-	s.arena.Reset()
+	s.ovr = s.ovr[:0]
+	s.steps = s.steps[:0]
 }
 
-// numView returns a copy of num with attribute a replaced by p, drawn from
-// the scratch slab.
+// find returns the newest entry for key on the list that starts at head, or
+// -1 when the path has not narrowed that attribute.
 //
 //udt:hotpath
-func (s *scratch) numView(num []*pdf.PDF, a int, p *pdf.PDF) []*pdf.PDF {
-	base := len(s.nums)
-	s.nums = append(s.nums, num...)
-	view := s.nums[base : base+len(num)]
-	view[a] = p
-	return view
-}
-
-// catView returns a copy of cat with attribute a collapsed onto domain value
-// v (the NewCatPoint of the recursive path), drawn from the scratch slabs.
-//
-//udt:hotpath
-func (s *scratch) catView(cat []data.CatDist, a, v, n int) []data.CatDist {
-	mb := len(s.mass)
-	for i := 0; i < n; i++ {
-		s.mass = append(s.mass, 0)
+func (s *scratch) find(head, key int32) int32 {
+	for head >= 0 && s.ovr[head].key != key {
+		head = s.ovr[head].prev
 	}
-	point := data.CatDist(s.mass[mb : mb+n])
-	point[v] = 1
-	base := len(s.cats)
-	s.cats = append(s.cats, cat...)
-	view := s.cats[base : base+len(cat)]
-	view[a] = point
-	return view
+	return head
+}
+
+// push appends an override to the slab and returns its index.
+//
+//udt:hotpath
+func (s *scratch) push(o override) int32 {
+	s.ovr = append(s.ovr, o)
+	return int32(len(s.ovr) - 1)
+}
+
+// piece pushes the numeric override for samples [lo, hi) of attribute a,
+// whose chain is the path's chain for a followed by step.
+//
+//udt:hotpath
+func (s *scratch) piece(head, a int32, lo, hi int, chain []pdf.Step, step pdf.Step) int32 {
+	cs := len(s.steps)
+	s.steps = append(s.steps, chain...)
+	s.steps = append(s.steps, step)
+	return s.push(override{prev: head, key: a, lo: int32(lo), hi: int32(hi), cs: int32(cs), ce: int32(len(s.steps))})
 }
 
 // outBuf returns a zeroed distribution buffer of the given arity.
@@ -268,13 +277,15 @@ func (s *scratch) outBuf(nc int) []float64 {
 // class distribution into out (len == len(c.Classes), zeroed by the caller).
 // Children are pushed in reverse so the LIFO stack visits leaves in exactly
 // the recursive order, keeping the floating-point summation identical to
-// Tree.Classify.
+// Tree.Classify. A straddled pdf is never copied: the path's override list
+// holds the piece as a window into the tuple's pdf plus its renormalisation
+// chain, and pdf.Cut splits it with SplitAt's arithmetic, bit for bit.
 //
 //udt:hotpath
 func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float64) {
 	nc := len(c.Classes)
 	s.reset()
-	s.frames = append(s.frames, cframe{node: c.root, w: w0, num: tu.Num, cat: tu.Cat})
+	s.frames = append(s.frames, cframe{node: c.root, head: -1, w: w0})
 	for len(s.frames) > 0 {
 		f := s.frames[len(s.frames)-1]
 		s.frames = s.frames[:len(s.frames)-1]
@@ -293,13 +304,19 @@ func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float6
 				acc[ci] += f.w * p
 			}
 		case ckCat:
-			a := int(c.attr[node])
-			d := f.cat[a]
+			a := c.attr[node]
+			lo := int(c.start[node])
+			if o := s.find(f.head, ^a); o >= 0 {
+				// Collapsed by an earlier test: the one value carries
+				// all the mass, and f.w * 1 == f.w.
+				s.frames = append(s.frames, cframe{node: c.child[lo+int(s.ovr[o].lo)], head: f.head, w: f.w})
+				continue
+			}
+			d := tu.Cat[a]
 			if d == nil {
 				c.routeMissing(f, out, s, nc)
 				continue
 			}
-			lo := int(c.start[node])
 			for v := len(d) - 1; v >= 0; v-- {
 				p := d[v]
 				if p <= 0 {
@@ -307,35 +324,35 @@ func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float6
 				}
 				s.frames = append(s.frames, cframe{
 					node: c.child[lo+v],
+					head: s.push(override{prev: f.head, key: ^a, lo: int32(v)}),
 					w:    f.w * p,
-					num:  f.num,
-					cat:  s.catView(f.cat, a, v, len(d)),
 				})
 			}
 		case ckNum:
-			a := int(c.attr[node])
-			p := f.num[a]
+			a := c.attr[node]
+			p := tu.Num[a]
 			if p == nil {
 				c.routeMissing(f, out, s, nc)
 				continue
 			}
-			pl, pr, pL := p.SplitAtArena(c.split[node], &s.arena)
-			lo := int(c.start[node])
+			lo, hi := 0, p.NumSamples()
+			var chain []pdf.Step
+			if o := s.find(f.head, a); o >= 0 {
+				e := s.ovr[o]
+				lo, hi, chain = int(e.lo), int(e.hi), s.steps[e.cs:e.ce]
+			}
+			k, pL, ls, rs := p.Cut(lo, hi, chain, c.split[node])
+			left, right := f.head, f.head
+			if pL > 0 && pL < 1 {
+				left = s.piece(f.head, a, lo, k, chain, ls)
+				right = s.piece(f.head, a, k, hi, chain, rs)
+			}
+			kid := int(c.start[node])
 			if pL < 1 {
-				s.frames = append(s.frames, cframe{
-					node: c.child[lo+1],
-					w:    f.w * (1 - pL),
-					num:  s.numView(f.num, a, pr),
-					cat:  f.cat,
-				})
+				s.frames = append(s.frames, cframe{node: c.child[kid+1], head: right, w: f.w * (1 - pL)})
 			}
 			if pL > 0 {
-				s.frames = append(s.frames, cframe{
-					node: c.child[lo],
-					w:    f.w * pL,
-					num:  s.numView(f.num, a, pl),
-					cat:  f.cat,
-				})
+				s.frames = append(s.frames, cframe{node: c.child[kid], head: left, w: f.w * pL})
 			}
 		}
 	}
@@ -366,12 +383,7 @@ func (c *Compiled) routeMissing(f cframe, out []float64, s *scratch, nc int) {
 	}
 	for i := hi - 1; i >= lo; i-- {
 		kid := c.child[i]
-		s.frames = append(s.frames, cframe{
-			node: kid,
-			w:    f.w * c.w[kid] / total,
-			num:  f.num,
-			cat:  f.cat,
-		})
+		s.frames = append(s.frames, cframe{node: kid, head: f.head, w: f.w * c.w[kid] / total})
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"udt/internal/data"
 )
 
 // BenchmarkCompiledVsRecursive measures classification throughput of the
@@ -57,6 +60,26 @@ func BenchmarkCompiledVsRecursive(b *testing.B) {
 		}
 		reportThroughput(b, len(batch))
 	})
+	// Wide pdfs, 30% of each attribute's range as in perfbench's score,
+	// straddle most nodes. A straddle reads one mass, so the cost per tuple
+	// hardly grows with the sample count, and a warm descent allocates
+	// nothing.
+	for _, s := range []int{100, 10_000} {
+		wide := make([]*data.Tuple, 32)
+		for i := range wide {
+			wide[i] = wideTuple(b, wideSupports(rng, 4), s)
+		}
+		b.Run(fmt.Sprintf("compiled-wide-s%d", s), func(b *testing.B) {
+			out := make([]float64, len(c.Classes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, tu := range wide {
+					c.ClassifyInto(tu, out)
+				}
+			}
+			reportThroughput(b, len(wide))
+		})
+	}
 }
 
 func reportThroughput(b *testing.B, batch int) {

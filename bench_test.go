@@ -1,12 +1,12 @@
 package udt_test
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (the per-experiment index lives in DESIGN.md, the measured
-// numbers in EXPERIMENTS.md). Benchmarks run at a reduced dataset scale so
-// `go test -bench=.` completes in minutes; the cmd/udtbench binary runs the
-// same drivers at arbitrary scale. Custom metrics surface the quantities
-// the paper reports: accuracy percentages (Table 3, Fig 4) and entropy
-// calculation counts (Figs 6-9).
+// evaluation, named after its artefact (README.md, "Reproducing the paper",
+// maps each to its udtbench experiment). Benchmarks run at a reduced dataset
+// scale so `go test -bench=.` completes in minutes; the cmd/udtbench binary
+// runs the same drivers at arbitrary scale. Custom metrics surface the
+// quantities the paper reports: accuracy percentages (Table 3, Fig 4) and
+// entropy calculation counts (Figs 6-9).
 
 import (
 	"testing"

@@ -1,8 +1,7 @@
 // Command udtbench regenerates the tables and figures of the paper's
-// evaluation (see the per-experiment index in DESIGN.md). Each -exp value
-// corresponds to one artefact; -scale trades fidelity for speed (1.0
-// reproduces the Table 2 dataset sizes, the default 0.1 finishes in
-// minutes on a laptop).
+// evaluation (README.md, "Reproducing the paper", maps each -exp value to
+// its artefact). -scale trades fidelity for speed (1.0 reproduces the
+// Table 2 dataset sizes, the default 0.1 finishes in minutes on a laptop).
 //
 // Usage:
 //
@@ -30,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: example|datasets|accuracy|noise|time|pruning|s-sweep|w-sweep|gini|point|es-ablation|endpoint-ablation|speedup|forest|boost|earlyexit|stream|load|all")
+		exp      = flag.String("exp", "all", "experiment: example|datasets|accuracy|noise|time|pruning|s-sweep|w-sweep|gini|point|es-trace|es-ablation|endpoint-ablation|speedup|forest|boost|all")
 		scale    = flag.Float64("scale", 0.1, "dataset scale in (0,1]; 1 = Table 2 sizes")
 		s        = flag.Int("s", 100, "sample points per pdf")
 		w        = flag.Float64("w", 0.10, "pdf width as a fraction of the attribute range")
@@ -185,27 +184,6 @@ func main() {
 				return err
 			}
 			experiments.FprintBoost(os.Stdout, rows)
-		case "earlyexit":
-			fmt.Println("== staged early-exit inference: members evaluated and throughput vs full ==")
-			rows, err := experiments.EarlyExit(opts, *rounds)
-			if err != nil {
-				return err
-			}
-			experiments.FprintEarlyExit(os.Stdout, rows)
-		case "stream":
-			fmt.Println("== streaming ingestion: whole-file vs fixed-size batch windows ==")
-			rows, err := experiments.StreamPredict(opts, *tuples, []int{64, 512, 4096})
-			if err != nil {
-				return err
-			}
-			experiments.FprintStream(os.Stdout, rows)
-		case "load":
-			fmt.Println("== model cold-start: JSON parse+compile vs binary mmap ==")
-			rows, err := experiments.ModelLoad(opts, *trees)
-			if err != nil {
-				return err
-			}
-			experiments.FprintLoad(os.Stdout, rows)
 		case "speedup":
 			fmt.Println("== intra-node parallel split search: serial vs -workers ==")
 			counts := []int{1, *workers}
@@ -225,7 +203,7 @@ func main() {
 
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"example", "datasets", "accuracy", "noise", "time", "s-sweep", "w-sweep", "gini", "point", "es-trace", "es-ablation", "endpoint-ablation", "speedup", "forest", "boost", "earlyexit", "stream", "load"}
+		names = []string{"example", "datasets", "accuracy", "noise", "time", "s-sweep", "w-sweep", "gini", "point", "es-trace", "es-ablation", "endpoint-ablation", "speedup", "forest", "boost"}
 	}
 	for _, name := range names {
 		if err := run(name); err != nil {

@@ -2,27 +2,22 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"udt/internal/loadgen"
 )
 
-// TestLoadSmoke runs the udtload traffic generator against an in-process
-// early-exit udtserve and checks the whole measurement chain: payloads from
-// a CSV, open-loop arrivals, zero failures, server-side early-exit deltas,
-// the client/server latency cross-check, and a report that round-trips
-// through loadgen.DecodeReport.
+// TestLoadSmoke drives an in-process early-exit udtserve with loadgen's
+// mixed single/batch/stream requests and checks that every request is
+// answered and that /metrics counts exactly the tuples sent.
 //
-// Before generating load it proves the early-exit server is not trading
-// correctness for speed: every payload must classify identically on a full
-// and an early-exit server over the same model.
+// Before driving it proves the early-exit server is not trading correctness
+// for speed: every payload must classify identically on a full and an
+// early-exit server over the same model.
 func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load smoke is not a -short test")
@@ -55,88 +50,44 @@ func TestLoadSmoke(t *testing.T) {
 	}
 
 	// Correctness gate: early exit must agree with full evaluation on every
-	// payload the load run will sample from.
+	// payload the drive samples from.
 	for i, doc := range payloads.Docs {
 		if fc, ec := classifyOne(t, tsFull.URL, doc), classifyOne(t, tsEarly.URL, doc); fc != ec {
 			t.Fatalf("payload %d: full evaluation %q, early exit %q", i, fc, ec)
 		}
 	}
 
-	// The mix is batch-heavy with fat batches so the /classify p95 sits in
-	// the batch regime, where handler work (decode + classify + encode of 256
-	// tuples) dominates the fixed per-request client overhead — the regime
-	// where client- and server-observed percentiles can meaningfully agree.
-	// Batches must grow with the server's speed: at 64 tuples a batch now
-	// takes under 512 µs server-side, and the fixed overhead alone moves the
-	// client p95 one or two power-of-two buckets up.
-	// The cross-check is the one assertion that depends on wall-clock
-	// behaviour outside the server (client-side scheduling), so a transient
-	// divergence under a loaded test machine gets one fresh run before the
-	// test fails; a systematic divergence fails both.
-	var rep *loadgen.Report
-	var ee *loadgen.EarlyExitDelta
-	for attempt := 0; ; attempt++ {
-		var err error
-		rep, err = loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:     tsEarly.URL,
-			QPS:         200,
-			Duration:    2 * time.Second,
-			Seed:        7,
-			Mix:         loadgen.Mix{Single: 0.25, Batch: 0.55, Stream: 0.2},
-			BatchSize:   256,
-			StreamLines: 16,
-			Client:      tsEarly.Client(),
-		}, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := rep.Requests
-		if c.OK == 0 {
-			t.Fatalf("no successful requests: %+v", c)
-		}
-		if c.Errors != 0 || c.Rejected != 0 || c.Dropped != 0 {
-			t.Fatalf("in-process smoke saw failures: %+v", c)
-		}
-		if rep.Latency["all"].Count != c.OK {
-			t.Fatalf("latency[all] covers %d requests, ok = %d", rep.Latency["all"].Count, c.OK)
-		}
-		srv := rep.Server
-		if srv == nil || srv.TuplesClassified == 0 {
-			t.Fatalf("server delta = %+v", srv)
-		}
-		ee = srv.EarlyExit
-		if ee == nil || ee.Predictions == 0 {
-			t.Fatalf("early-exit delta = %+v", ee)
-		}
-		if ee.MembersEvaluated < ee.Predictions {
-			t.Fatalf("early exit evaluated %d members over %d predictions", ee.MembersEvaluated, ee.Predictions)
-		}
-		if rep.CrossCheck == nil {
-			t.Fatal("no client/server latency cross-check")
-		}
-		if rep.CrossCheck.WithinOneBucket {
-			break
-		}
-		msg := fmt.Sprintf("client p95 %dµs and server p95 (%d, %d]µs landed %d buckets apart",
-			rep.CrossCheck.ClientP95Micros, rep.CrossCheck.ServerP95LoMicros,
-			rep.CrossCheck.ServerP95HiMicros, rep.CrossCheck.BucketDistance)
-		if attempt > 0 {
-			t.Fatal(msg)
-		}
-		t.Logf("%s; retrying once (contended test machine?)", msg)
-	}
-	c := rep.Requests
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
+	const requests = 300
+	res, err := loadgen.Drive(context.Background(), tsEarly.Client(), tsEarly.URL, payloads, 7, requests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadgen.DecodeReport(append(blob, '\n')); err != nil {
-		t.Fatalf("report does not decode: %v", err)
+	if res.OK != requests || res.Failed != 0 {
+		t.Fatalf("drive = %+v, want all %d requests OK", res, requests)
 	}
-	t.Logf("report: ok=%d p50=%dµs p95=%dµs members/prediction=%.2f",
-		c.OK, rep.Latency["all"].P50Micros, rep.Latency["all"].P95Micros,
-		float64(ee.MembersEvaluated)/float64(ee.Predictions))
+
+	// A third of the requests each are single tuples, batches and streams;
+	// the parity pass classified every payload once more.
+	want := int64(requests/3*(1+loadgen.BatchSize+loadgen.StreamLines) + len(payloads.Docs))
+	scrape, err := http.Get(tsEarly.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		TuplesClassified int64 `json:"tuplesClassified"`
+		EarlyExit        struct {
+			Predictions      int64 `json:"predictions"`
+			MembersEvaluated int64 `json:"membersEvaluated"`
+		} `json:"earlyExit"`
+	}
+	decodeBody(t, scrape, http.StatusOK, &m)
+	if m.TuplesClassified != want || m.EarlyExit.Predictions != want {
+		t.Fatalf("server classified %d tuples with %d early-exit predictions, want %d of each",
+			m.TuplesClassified, m.EarlyExit.Predictions, want)
+	}
+	if m.EarlyExit.MembersEvaluated < m.EarlyExit.Predictions {
+		t.Fatalf("early exit evaluated %d members over %d predictions", m.EarlyExit.MembersEvaluated, m.EarlyExit.Predictions)
+	}
 }
 
 // classifyOne posts a single wire tuple and returns the predicted class.
@@ -152,7 +103,7 @@ func classifyOne(t *testing.T, baseURL string, doc []byte) string {
 
 // writeLoadCSV emits payload rows over the boosted test model's schema (two
 // numeric attributes): point values and sampled pdfs spread across both
-// class regions so the load run exercises varied descent paths.
+// class regions so the drive exercises varied descent paths.
 func writeLoadCSV(t *testing.T, path string) {
 	t.Helper()
 	const rows = `x,y,class

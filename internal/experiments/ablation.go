@@ -11,9 +11,10 @@ import (
 	"udt/internal/uci"
 )
 
-// Ablation studies for the design choices DESIGN.md calls out: the UDT-ES
-// end-point sample fraction (the paper fixes 10% after experimentation,
-// §5.3) and the §7.3 percentile end-point mode.
+// Ablation studies for two of the paper's design choices (README.md,
+// "Reproducing the paper"): the UDT-ES end-point sample fraction (the paper
+// fixes 10% after experimentation, §5.3) and the §7.3 percentile end-point
+// mode.
 
 // AblationRow is one configuration of an ablation sweep.
 type AblationRow struct {

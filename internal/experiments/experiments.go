@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table/figure of the paper's
-// evaluation (see the per-experiment index in DESIGN.md). Each driver
-// returns structured rows and can render them in the layout the paper
-// reports, so the cmd/udtbench harness and the repository benchmarks
+// evaluation (README.md, "Reproducing the paper", indexes them). Each
+// driver returns structured rows and can render them in the layout the
+// paper reports, so the cmd/udtbench harness and the repository benchmarks
 // regenerate every artefact.
 package experiments
 

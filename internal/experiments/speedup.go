@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"time"
 
+	"udt/internal/data"
 	"udt/internal/split"
 )
 
@@ -73,4 +75,36 @@ func FprintSpeedup(w io.Writer, strategy split.Strategy, tuples int, rows []Spee
 		fmt.Fprintf(w, "%8d %14v %12d %8.2fx %6v\n",
 			r.Workers, r.Time.Round(time.Microsecond), r.Calcs, r.Speedup, r.Match)
 	}
+}
+
+// syntheticClusters builds the Gaussian-cluster uncertain dataset the
+// speedup experiment runs on: four attributes, three classes, cluster
+// centres 1.5 apart with unit Gaussian spread, then uncertainty injected per
+// the options.
+func syntheticClusters(o Options, name string, tuples int) (*data.Dataset, error) {
+	const attrs, classes = 4, 3
+	rng := rand.New(rand.NewSource(o.Seed))
+	pts := &data.Points{
+		Name:    name,
+		Attrs:   make([]string, attrs),
+		Classes: make([]string, classes),
+		Rows:    make([][]float64, tuples),
+		Labels:  make([]int, tuples),
+	}
+	for j := range pts.Attrs {
+		pts.Attrs[j] = fmt.Sprintf("a%d", j)
+	}
+	for c := range pts.Classes {
+		pts.Classes[c] = fmt.Sprintf("c%d", c)
+	}
+	for i := range pts.Rows {
+		c := rng.Intn(classes)
+		row := make([]float64, attrs)
+		for j := range row {
+			row[j] = float64(c)*1.5 + rng.NormFloat64()
+		}
+		pts.Rows[i] = row
+		pts.Labels[i] = c
+	}
+	return data.Inject(pts, data.InjectConfig{W: o.W, S: o.S, Model: data.GaussianModel})
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"udt/internal/core"
+	"udt/internal/data"
+	"udt/internal/pdf"
 )
 
 // TestEvalOrder: members must be visited by descending vote weight with ties
@@ -196,6 +198,124 @@ func TestStagedSurvivesRoundTrip(t *testing.T) {
 		c2, k2 := back.PredictEarlyExit(tu)
 		if c1 != c2 || k1 != k2 {
 			t.Fatalf("tuple %d: original (%d, %d), restored (%d, %d)", i, c1, k1, c2, k2)
+		}
+	}
+}
+
+// edgeMember is a two-class tree over one numeric attribute: a leaf
+// emitting left when right is nil, otherwise a test x <= 0.5 with those two
+// leaves.
+func edgeMember(left, right []float64) *core.Tree {
+	root := &core.Node{Dist: left, W: 1}
+	if right != nil {
+		root = &core.Node{Attr: 0, Split: 0.5, W: 2,
+			Left: &core.Node{Dist: left, W: 1}, Right: &core.Node{Dist: right, W: 1}}
+	}
+	return &core.Tree{
+		Root:     root,
+		Classes:  []string{"a", "b"},
+		NumAttrs: []data.Attribute{{Name: "x", Kind: data.Numeric}},
+	}
+}
+
+// slackEdgeForest is a two-member boosted ensemble: member 0 (weight 2)
+// emits lead, member 1 (weight 1) emits [1, 0], so exitUB after one member
+// is [1, 0].
+func slackEdgeForest(t *testing.T, lead ...float64) *Forest {
+	t.Helper()
+	f, err := FromTrees([]WeightedTree{
+		{Tree: edgeMember(lead, nil), Weight: 2},
+		{Tree: edgeMember([]float64{1, 0}, nil), Weight: 1},
+	}, KindBoosted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestSettledBoundary pins settled's comparison at the edge of the slack:
+// a leader whose margin is exactly exitUB + exitSlack is settled, one ulp
+// less is not, one ulp more is.
+func TestSettledBoundary(t *testing.T) {
+	f := slackEdgeForest(t, 0.25, 0.75)
+	const nc, k = 2, 1
+	for lead := 0; lead < nc; lead++ {
+		other := 1 - lead
+		edge := f.exitUB[k*nc+other] + f.exitSlack
+		for _, tc := range []struct {
+			margin float64
+			want   bool
+		}{
+			{math.Nextafter(edge, 0), false},
+			{edge, true},
+			{math.Nextafter(edge, math.Inf(1)), true},
+		} {
+			out := make([]float64, nc)
+			out[lead] = tc.margin
+			if got := f.settled(out, lead, k, nc); got != tc.want {
+				t.Errorf("lead %d, margin %v (edge %v): settled = %v, want %v", lead, tc.margin, edge, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestEarlyExitSlackEdge: after member 0 the leader (class b) leads by
+// exactly the remaining bound, or by less than exitSlack more. Only the
+// slack keeps early exit going, and it must: the exact case ends in an
+// exact tie, which Predict breaks toward the lowest class index (a).
+func TestEarlyExitSlackEdge(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lead []float64
+		want int
+	}{
+		{"exact tie", []float64{0.25, 0.75}, 0},
+		{"margin 4e-12 above the bound", []float64{0.25 - 1e-12, 0.75 + 1e-12}, 1},
+	} {
+		f := slackEdgeForest(t, tc.lead...)
+		tu := &data.Tuple{Num: []*pdf.PDF{pdf.Point(0.3)}, Weight: 1}
+		class, k := f.PredictEarlyExit(tu)
+		if want := f.Predict(tu); want != tc.want || class != want || k != 2 {
+			t.Errorf("%s: early exit (class %d, %d members), Predict %d, want class %d after 2 members",
+				tc.name, class, k, want, tc.want)
+		}
+	}
+}
+
+// TestEarlyExitNearTie: a boosted ensemble whose members' leaves differ from
+// a uniform vote by ~1e-12 ends every tuple with a margin below exitSlack.
+// Early exit must evaluate every member and return Predict's class.
+func TestEarlyExitNearTie(t *testing.T) {
+	weights := []float64{3.5, 2.25, 1.5, 1, 0.75, 0.5}
+	members := make([]WeightedTree, len(weights))
+	total := 0.0
+	for j, w := range weights {
+		d := float64(j+1) * 1e-12
+		if j%2 == 1 {
+			d = -d
+		}
+		members[j] = WeightedTree{Tree: edgeMember([]float64{0.5 + d, 0.5 - d}, []float64{0.5 - d, 0.5 + d}), Weight: w}
+		total += w
+	}
+	f, err := FromTrees(members, KindBoosted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 200; i++ {
+		lo := rng.Float64()
+		p, err := pdf.Uniform(lo, lo+rng.Float64()*0.5, 1+rng.Intn(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tu := &data.Tuple{Num: []*pdf.PDF{p}, Weight: 1}
+		dist := f.Classify(tu)
+		if margin := math.Abs(dist[0]-dist[1]) * total; margin >= f.exitSlack {
+			t.Fatalf("tuple %d: final margin %g is not below exitSlack %g", i, margin, f.exitSlack)
+		}
+		class, k := f.PredictEarlyExit(tu)
+		if want := f.Predict(tu); class != want || k != f.StageCount() {
+			t.Fatalf("tuple %d: early exit (class %d, %d members), Predict %d after %d", i, class, k, want, f.StageCount())
 		}
 	}
 }

@@ -1,9 +1,8 @@
-// Package latency implements the power-of-two latency histogram shared by
-// udtserve's per-endpoint /metrics and udtload's client-side measurements.
-// Both sides bucketing durations identically is what makes the load
-// generator's percentiles cross-checkable against the server's: the two
-// views of the same traffic must land within one bucket (a factor of two) of
-// each other.
+// Package latency implements the power-of-two latency histogram behind
+// udtserve's and udtproxy's per-endpoint /metrics, the trace-span and
+// GC-pause histograms, and the training progress digest. One fixed bucket
+// geometry lets every histogram render in both /metrics dialects and answer
+// percentile bounds the same way.
 //
 // Bucket b covers durations d with 2^(b-1) µs < d <= 2^b µs (bucket 0 covers
 // everything up to 1 µs), and the last bucket is an overflow catch-all. With
@@ -94,29 +93,6 @@ func (s *Snapshot) Total() int64 {
 		n += c
 	}
 	return n
-}
-
-// Sub returns the bucket-wise difference s - prev, the histogram of events
-// recorded between the two snapshots.
-func (s *Snapshot) Sub(prev *Snapshot) (*Snapshot, error) {
-	if prev == nil {
-		return s, nil
-	}
-	if len(prev.Counts) != len(s.Counts) {
-		return nil, fmt.Errorf("latency: snapshot has %d buckets, previous has %d", len(s.Counts), len(prev.Counts))
-	}
-	out := &Snapshot{
-		BoundsMicros: s.BoundsMicros,
-		Counts:       make([]int64, len(s.Counts)),
-	}
-	for b := range s.Counts {
-		d := s.Counts[b] - prev.Counts[b]
-		if d < 0 {
-			return nil, fmt.Errorf("latency: bucket %d count went backwards (%d -> %d)", b, prev.Counts[b], s.Counts[b])
-		}
-		out.Counts[b] = d
-	}
-	return out, nil
 }
 
 // Validate checks structural sanity of a decoded snapshot: the canonical

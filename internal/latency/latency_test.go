@@ -92,30 +92,6 @@ func TestHistObserveSnapshot(t *testing.T) {
 	}
 }
 
-// TestSub: the difference of two snapshots isolates the events between
-// them, and a regression (counts going backwards) is rejected.
-func TestSub(t *testing.T) {
-	var h AtomicHist
-	h.Observe(time.Millisecond)
-	before := h.Snapshot()
-	h.Observe(time.Millisecond)
-	h.Observe(time.Second)
-	after := h.Snapshot()
-	delta, err := after.Sub(before)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.Total() != 2 || delta.Counts[10] != 1 || delta.Counts[20] != 1 {
-		t.Fatalf("delta = %v", delta.Counts)
-	}
-	if _, err := before.Sub(after); err == nil {
-		t.Fatal("backwards subtraction accepted")
-	}
-	if d, err := after.Sub(nil); err != nil || d != after {
-		t.Fatal("nil previous must return the snapshot unchanged")
-	}
-}
-
 // TestPercentileBounds: nearest-rank percentiles land in the bucket holding
 // the ranked observation, with the overflow bucket reporting an open upper
 // bound.

@@ -1,501 +1,151 @@
 package loadgen
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"udt/internal/latency"
+	"udt/internal/modelio"
 )
 
-// Config drives one load run.
-type Config struct {
-	BaseURL     string        // udtserve root, e.g. http://127.0.0.1:8080
-	QPS         float64       // target offered load (arrivals per second)
-	Duration    time.Duration // run length; total arrivals = QPS * Duration
-	Seed        int64         // payload/class sampling seed (same seed = same request sequence)
-	Mix         Mix           // request-class weights; zero value = single-only
-	BatchSize   int           // tuples per batch request (default 16)
-	StreamLines int           // NDJSON lines per stream request (default 32)
-	MaxInFlight int           // arrivals beyond this many outstanding requests are dropped (default 512)
-	Timeout     time.Duration // per-request timeout (default 5s)
-	Client      *http.Client  // optional; lets tests inject an httptest client
-
-	// Targets, when non-empty, fans arrivals out round-robin (by arrival
-	// index, deterministically) across several base URLs — replicas behind
-	// no proxy, or mixed direct/proxy endpoints. BaseURL remains the
-	// /metrics source for the server-delta section; it need not appear in
-	// Targets.
-	Targets []string
-
-	// Models, when non-empty, adds a per-model dimension to the mix: each
-	// arrival draws a model name by weight and requests
-	// /v1/models/{name}/classify[/stream] instead of the legacy routes.
-	// Per-model latencies land in the report under "model:{name}" keys. An
-	// empty map preserves the legacy paths AND the exact seeded draw
-	// sequence of earlier releases (no extra RNG consumption), so old and
-	// new reports with equal seeds stay comparable.
-	Models map[string]float64
-}
-
-// modelPicker draws model names by cumulative weight, in sorted-name order
-// so the draw is deterministic for a given seed regardless of map iteration.
-type modelPicker struct {
-	names []string
-	cum   []float64 // running totals; cum[len-1] is the weight sum
-}
-
-func newModelPicker(models map[string]float64) (*modelPicker, error) {
-	if len(models) == 0 {
-		return nil, nil
-	}
-	p := &modelPicker{}
-	for name := range models {
-		p.names = append(p.names, name)
-	}
-	sort.Strings(p.names)
-	total := 0.0
-	for _, name := range p.names {
-		w := models[name]
-		if name == "" || w < 0 {
-			return nil, fmt.Errorf("loadgen: invalid model weight %q=%g", name, w)
-		}
-		total += w
-		p.cum = append(p.cum, total)
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("loadgen: model mix %v enables no model", models)
-	}
-	return p, nil
-}
-
-// pick consumes one uniform draw.
-func (p *modelPicker) pick(u float64) string {
-	x := u * p.cum[len(p.cum)-1]
-	for i, c := range p.cum {
-		if x < c {
-			return p.names[i]
-		}
-	}
-	return p.names[len(p.names)-1]
-}
-
-// Request-class names, used as Report.Latency keys alongside "all".
+// The shape of a drive is fixed: the smokes need a known tuple count and
+// zero failures, not a tunable load.
 const (
-	classSingle = "single"
-	classBatch  = "batch"
-	classStream = "stream"
+	BatchSize   = 16 // tuples per batch request
+	StreamLines = 16 // NDJSON lines per stream request
+	Conns       = 4  // closed-loop senders, each with one request in flight
 )
 
-type outcome int
-
-const (
-	outcomeOK outcome = iota
-	outcomeError
-	outcomeRejected
-)
-
-type sample struct {
-	class   string
-	model   string // "" on the legacy routes
-	micros  int64
-	outcome outcome
+// Result counts the answers of one drive. Every request lands in exactly
+// one of OK and Failed.
+type Result struct {
+	OK      int
+	Failed  int            // transport errors, non-2xx answers, broken streams
+	ByModel map[string]int // OK answers per model name; nil without models
 }
 
-// Run executes one open-loop load run and returns its report. Arrivals fire
-// on a fixed schedule derived from QPS regardless of completions; requests
-// that would exceed MaxInFlight are counted as dropped, not queued, so the
-// offered load stays honest under server slowdown. The payload/class draw for
-// every arrival happens before the admission check, which keeps the sampled
-// sequence a pure function of the seed.
-func Run(ctx context.Context, cfg Config, p *Payloads) (*Report, error) {
-	if cfg.BaseURL == "" {
-		return nil, errors.New("loadgen: no target URL")
+// request is one prepared POST.
+type request struct {
+	path, contentType string
+	body              []byte
+	stream            bool
+	model             string
+}
+
+// Drive sends n requests to the server at base and waits for every answer.
+// Request i is a single tuple, a batch of BatchSize tuples or a stream of
+// StreamLines tuples by i mod 3, with payloads drawn from p by a generator
+// seeded with seed, so equal seeds send identical request sequences. Without
+// models the requests go to /classify and /classify/stream; with models,
+// each run of three consecutive requests goes to the next model in turn,
+// under /v1/models/{name}/, so every model gets every kind of request. Conns
+// senders each wait for an answer before sending again: nothing is timed,
+// and a slow server only makes the drive take longer.
+func Drive(ctx context.Context, client *http.Client, base string, p *Payloads, seed int64, n int, models ...string) (Result, error) {
+	if n < 1 {
+		return Result{}, fmt.Errorf("loadgen: %d requests", n)
 	}
-	if !(cfg.QPS > 0) {
-		return nil, fmt.Errorf("loadgen: target QPS must be positive, got %g", cfg.QPS)
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("loadgen: duration must be positive, got %v", cfg.Duration)
-	}
-	mix := cfg.Mix
-	if mix == (Mix{}) {
-		mix = Mix{Single: 1}
-	}
-	if mix.Single < 0 || mix.Batch < 0 || mix.Stream < 0 || mix.total() <= 0 {
-		return nil, fmt.Errorf("loadgen: invalid request mix %+v", mix)
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 16
-	}
-	if cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("loadgen: batch size %d", cfg.BatchSize)
-	}
-	if cfg.StreamLines == 0 {
-		cfg.StreamLines = 32
-	}
-	if cfg.StreamLines < 0 {
-		return nil, fmt.Errorf("loadgen: stream lines %d", cfg.StreamLines)
-	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 512
-	}
-	if cfg.MaxInFlight < 0 {
-		return nil, fmt.Errorf("loadgen: max in-flight %d", cfg.MaxInFlight)
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{}
-	}
-	picker, err := newModelPicker(cfg.Models)
+	smp, err := newSampler(seed, p)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	targets := cfg.Targets
-	if len(targets) == 0 {
-		targets = []string{cfg.BaseURL}
-	}
-	for _, tgt := range targets {
-		if tgt == "" {
-			return nil, errors.New("loadgen: empty target URL")
+	reqs := make([]request, n)
+	work := make(chan int, n)
+	for i := range reqs {
+		reqs[i] = smp.draw(i)
+		if len(models) > 0 {
+			reqs[i].model = models[i/3%len(models)]
+			reqs[i].path = "/v1/models/" + reqs[i].model + reqs[i].path
 		}
+		work <- i
 	}
-	smp, err := newSampler(cfg.Seed, p)
-	if err != nil {
-		return nil, err
-	}
+	close(work)
 
-	before := fetchMetrics(ctx, client, cfg.BaseURL)
-
-	total := int(cfg.QPS * cfg.Duration.Seconds())
-	if total < 1 {
-		total = 1
-	}
-	interval := time.Duration(float64(time.Second) / cfg.QPS)
-
-	var (
-		wg       sync.WaitGroup
-		inFlight atomic.Int64
-		dropped  int64
-		samples  = make(chan sample, total)
-	)
-	start := time.Now()
-arrivals:
-	for i := 0; i < total; i++ {
-		target := start.Add(time.Duration(i) * interval)
-		if wait := time.Until(target); wait > 0 {
-			select {
-			case <-ctx.Done():
-				break arrivals
-			case <-time.After(wait):
-			}
-		} else if ctx.Err() != nil {
-			break arrivals
-		}
-		// Draw before the admission check: the request sequence is then
-		// seed-deterministic whether or not arrivals are dropped. The model
-		// draw happens only when a model mix is configured, so legacy runs
-		// consume the RNG exactly as before and stay seed-comparable.
-		class, body, contentType, path := smp.draw(mix, cfg.BatchSize, cfg.StreamLines)
-		model := ""
-		if picker != nil {
-			model = picker.pick(smp.rng.Float64())
-			path = "/v1/models/" + model + path
-		}
-		base := targets[i%len(targets)]
-		if inFlight.Load() >= int64(cfg.MaxInFlight) {
-			dropped++
-			continue
-		}
-		inFlight.Add(1)
+	ok := make([]bool, n)
+	var wg sync.WaitGroup
+	for range Conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer inFlight.Add(-1)
-			s := issue(ctx, client, base+path, contentType, body, cfg.Timeout, class)
-			s.model = model
-			samples <- s
+			for i := range work {
+				ok[i] = send(ctx, client, base, &reqs[i])
+			}
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	close(samples)
 
-	after := fetchMetrics(ctx, client, cfg.BaseURL)
-
-	rep := &Report{
-		SchemaVersion: SchemaVersion,
-		Target:        cfg.BaseURL,
-		Config: RunConfig{
-			QPS:             cfg.QPS,
-			DurationSeconds: cfg.Duration.Seconds(),
-			Seed:            cfg.Seed,
-			Mix:             mix,
-			Models:          cfg.Models,
-			BatchSize:       cfg.BatchSize,
-			StreamLines:     cfg.StreamLines,
-		},
-		Requests:   Counts{Dropped: dropped},
-		OfferedQPS: cfg.QPS,
-		Latency:    map[string]*Summary{},
+	res := Result{}
+	if len(models) > 0 {
+		res.ByModel = map[string]int{}
 	}
-
-	if len(cfg.Targets) > 0 {
-		rep.Targets = cfg.Targets
-	}
-	perClass := map[string][]int64{}
-	var classifyOK []int64 // single + batch, the /classify endpoint's view
-	for s := range samples {
-		rep.Requests.Sent++
-		switch s.outcome {
-		case outcomeOK:
-			rep.Requests.OK++
-			perClass[s.class] = append(perClass[s.class], s.micros)
-			perClass["all"] = append(perClass["all"], s.micros)
-			if s.model != "" {
-				perClass["model:"+s.model] = append(perClass["model:"+s.model], s.micros)
-			}
-			if s.class != classStream {
-				classifyOK = append(classifyOK, s.micros)
-			}
-		case outcomeRejected:
-			rep.Requests.Rejected++
-		default:
-			rep.Requests.Errors++
+	for i, r := range reqs {
+		if !ok[i] {
+			res.Failed++
+			continue
+		}
+		res.OK++
+		if res.ByModel != nil {
+			res.ByModel[r.model]++
 		}
 	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.AchievedQPS = float64(rep.Requests.OK) / secs
-	}
-	for class, micros := range perClass {
-		rep.Latency[class] = summarize(micros)
-	}
-	rep.Server = serverDelta(before, after)
-	rep.ServerRuntime = runtimeDelta(before, after)
-	rep.CrossCheck = crossCheck(classifyOK, rep.Server)
-	return rep, nil
+	return res, nil
 }
 
-// draw picks the next request: class by weighted draw, then enough payload
-// documents to fill it.
-func (s *sampler) draw(mix Mix, batchSize, streamLines int) (class string, body []byte, contentType, path string) {
-	u := s.rng.Float64() * mix.total()
-	switch {
-	case u < mix.Single:
-		return classSingle, s.next(), "application/json", "/classify"
-	case u < mix.Single+mix.Batch:
-		var buf bytes.Buffer
-		buf.WriteString(`{"tuples":[`)
-		for i := 0; i < batchSize; i++ {
-			if i > 0 {
-				buf.WriteByte(',')
+// draw builds request i: a single tuple, a batch or a stream by i mod 3.
+func (s *sampler) draw(i int) request {
+	switch i % 3 {
+	case 0:
+		return request{path: "/classify", contentType: "application/json", body: s.next()}
+	case 1:
+		body := []byte(`{"tuples":[`)
+		for j := range BatchSize {
+			if j > 0 {
+				body = append(body, ',')
 			}
-			buf.Write(s.next())
+			body = append(body, s.next()...)
 		}
-		buf.WriteString("]}")
-		return classBatch, buf.Bytes(), "application/json", "/classify"
+		return request{path: "/classify", contentType: "application/json", body: append(body, "]}"...)}
 	default:
-		var buf bytes.Buffer
-		for i := 0; i < streamLines; i++ {
-			buf.Write(s.next())
-			buf.WriteByte('\n')
+		var body []byte
+		for range StreamLines {
+			body = append(append(body, s.next()...), '\n')
 		}
-		return classStream, buf.Bytes(), "application/x-ndjson", "/classify/stream"
+		return request{path: "/classify/stream", contentType: "application/x-ndjson", body: body, stream: true}
 	}
 }
 
-// issue sends one request and classifies its outcome. Latency covers the
-// full exchange including reading the body to EOF — for streams that is the
-// last NDJSON line, so stream latency is time-to-complete, not
-// time-to-first-byte.
-func issue(ctx context.Context, client *http.Client, url, contentType string, body []byte, timeout time.Duration, class string) sample {
-	rctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, bytes.NewReader(body))
+// send posts one request and reports whether it was answered in full: a
+// 2xx status, a body read to EOF, and for a stream one result line per
+// tuple sent with no in-band error.
+func send(ctx context.Context, client *http.Client, base string, r *request) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+r.path, bytes.NewReader(r.body))
 	if err != nil {
-		return sample{class: class, outcome: outcomeError}
+		return false
 	}
-	req.Header.Set("Content-Type", contentType)
-	begin := time.Now()
+	req.Header.Set("Content-Type", r.contentType)
 	res, err := client.Do(req)
 	if err != nil {
-		return sample{class: class, outcome: outcomeError}
+		return false
 	}
-	_, copyErr := io.Copy(io.Discard, res.Body)
+	body, err := io.ReadAll(res.Body)
 	res.Body.Close()
-	micros := time.Since(begin).Microseconds()
-	switch {
-	case copyErr != nil:
-		return sample{class: class, outcome: outcomeError}
-	case res.StatusCode == http.StatusServiceUnavailable:
-		return sample{class: class, micros: micros, outcome: outcomeRejected}
-	case res.StatusCode >= 300:
-		return sample{class: class, outcome: outcomeError}
-	default:
-		return sample{class: class, micros: micros, outcome: outcomeOK}
+	if err != nil || res.StatusCode/100 != 2 {
+		return false
 	}
-}
-
-// summarize digests exact per-request latencies with nearest-rank
-// percentiles.
-func summarize(micros []int64) *Summary {
-	s := &Summary{Count: int64(len(micros))}
-	if len(micros) == 0 {
-		return s
+	if !r.stream {
+		return true
 	}
-	sort.Slice(micros, func(i, j int) bool { return micros[i] < micros[j] })
-	var sum int64
-	for _, m := range micros {
-		sum += m
-	}
-	s.MeanMicros = sum / int64(len(micros))
-	s.P50Micros = nearestRank(micros, 0.50)
-	s.P95Micros = nearestRank(micros, 0.95)
-	s.P99Micros = nearestRank(micros, 0.99)
-	s.MaxMicros = micros[len(micros)-1]
-	return s
-}
-
-// nearestRank returns the q-th percentile of sorted values: the smallest
-// value with at least ceil(q*n) values at or below it.
-func nearestRank(sorted []int64, q float64) int64 {
-	rank := int(float64(len(sorted))*q + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// wireMetrics mirrors the subset of udtserve's GET /metrics document the
-// generator consumes.
-type wireMetrics struct {
-	TuplesClassified int64 `json:"tuplesClassified"`
-	EarlyExit        struct {
-		Enabled          bool  `json:"enabled"`
-		Predictions      int64 `json:"predictions"`
-		MembersEvaluated int64 `json:"membersEvaluated"`
-	} `json:"earlyExit"`
-	Endpoints map[string]struct {
-		Requests int64             `json:"requests"`
-		Errors   int64             `json:"errors"`
-		Latency  *latency.Snapshot `json:"latency"`
-	} `json:"endpoints"`
-	Runtime *struct {
-		HeapAllocBytes     uint64 `json:"heapAllocBytes"`
-		HeapObjects        uint64 `json:"heapObjects"`
-		Goroutines         int64  `json:"goroutines"`
-		GCCycles           int64  `json:"gcCycles"`
-		GCPauseTotalMicros int64  `json:"gcPauseTotalMicros"`
-	} `json:"runtime"`
-}
-
-// fetchMetrics samples GET /metrics, returning nil when the endpoint is
-// unreachable or malformed — the run proceeds, the report just omits the
-// server-side section.
-func fetchMetrics(ctx context.Context, client *http.Client, baseURL string) *wireMetrics {
-	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil
-	}
-	res, err := client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil
-	}
-	var m wireMetrics
-	if err := json.NewDecoder(res.Body).Decode(&m); err != nil {
-		return nil
-	}
-	return &m
-}
-
-// serverDelta subtracts the before /metrics sample from the after one.
-func serverDelta(before, after *wireMetrics) *ServerDelta {
-	if before == nil || after == nil {
-		return nil
-	}
-	d := &ServerDelta{TuplesClassified: after.TuplesClassified - before.TuplesClassified}
-	if after.EarlyExit.Enabled {
-		d.EarlyExit = &EarlyExitDelta{
-			Predictions:      after.EarlyExit.Predictions - before.EarlyExit.Predictions,
-			MembersEvaluated: after.EarlyExit.MembersEvaluated - before.EarlyExit.MembersEvaluated,
+	lines := 0
+	for sc := bufio.NewScanner(bytes.NewReader(body)); sc.Scan(); lines++ {
+		var line modelio.StreamResult
+		if json.Unmarshal(sc.Bytes(), &line) != nil || line.Error != "" {
+			return false
 		}
 	}
-	if ep, ok := after.Endpoints["classify"]; ok && ep.Latency != nil {
-		var prev *latency.Snapshot
-		if bep, ok := before.Endpoints["classify"]; ok {
-			prev = bep.Latency
-		}
-		if delta, err := ep.Latency.Sub(prev); err == nil && delta.Total() > 0 {
-			d.ClassifyLatency = delta
-		}
-	}
-	return d
-}
-
-// runtimeDelta subtracts the before /metrics runtime section from the after
-// one; nil when either sample lacks it (an older server).
-func runtimeDelta(before, after *wireMetrics) *RuntimeDelta {
-	if before == nil || after == nil || before.Runtime == nil || after.Runtime == nil {
-		return nil
-	}
-	b, a := before.Runtime, after.Runtime
-	return &RuntimeDelta{
-		HeapAllocBytesDelta: int64(a.HeapAllocBytes) - int64(b.HeapAllocBytes),
-		HeapObjectsDelta:    int64(a.HeapObjects) - int64(b.HeapObjects),
-		GoroutinesDelta:     a.Goroutines - b.Goroutines,
-		GCCycles:            a.GCCycles - b.GCCycles,
-		GCPauseTotalMicros:  a.GCPauseTotalMicros - b.GCPauseTotalMicros,
-	}
-}
-
-// crossCheck compares the client-side /classify p95 with the server-side
-// classify histogram p95, both mapped onto the shared power-of-two bucket
-// geometry.
-func crossCheck(classifyOK []int64, srv *ServerDelta) *CrossCheck {
-	if len(classifyOK) == 0 || srv == nil || srv.ClassifyLatency == nil {
-		return nil
-	}
-	sorted := append([]int64(nil), classifyOK...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	clientP95 := nearestRank(sorted, 0.95)
-	lo, hi, ok := srv.ClassifyLatency.PercentileBounds(0.95)
-	if !ok {
-		return nil
-	}
-	clientBucket := latency.Bucket(time.Duration(clientP95) * time.Microsecond)
-	serverBucket := latency.Buckets - 1
-	if hi >= 0 {
-		serverBucket = latency.Bucket(time.Duration(hi) * time.Microsecond)
-	}
-	dist := clientBucket - serverBucket
-	if dist < 0 {
-		dist = -dist
-	}
-	return &CrossCheck{
-		ClientP95Micros:   clientP95,
-		ServerP95LoMicros: lo,
-		ServerP95HiMicros: hi,
-		BucketDistance:    dist,
-		WithinOneBucket:   dist <= 1,
-	}
+	return lines == StreamLines
 }

@@ -1,11 +1,8 @@
-// Package loadgen implements the open-loop HTTP traffic generator behind
-// cmd/udtload: deterministic seeded payload sampling from a CSV, a fixed
-// arrival schedule at a target QPS (arrivals never wait for completions, so
-// an overloaded server shows up as latency and drops rather than silently
-// throttled offered load), mixed single/batch/NDJSON-stream request classes,
-// client-side latency percentiles, and a cross-check of those percentiles
-// against the server's own /metrics latency histograms. Results serialise to
-// a versioned JSON report (udtload -out).
+// Package loadgen drives traffic through udtserve and udtproxy for the
+// serving smoke tests: wire documents sampled deterministically from a CSV,
+// sent as a fixed, seeded number of mixed single, batch and NDJSON-stream
+// requests, with the answers counted. It measures nothing; the benchmark is
+// perfbench/.
 package loadgen
 
 import (

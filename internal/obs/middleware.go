@@ -18,8 +18,8 @@ import (
 )
 
 // EndpointMetrics counts one endpoint's traffic with plain atomics, plus a
-// power-of-two latency histogram so operators (and udtload's cross-check)
-// get percentile bounds, not just the average.
+// power-of-two latency histogram so operators get percentile bounds, not
+// just the average.
 type EndpointMetrics struct {
 	Requests atomic.Int64
 	Errors   atomic.Int64 // responses with status >= 400

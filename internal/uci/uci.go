@@ -6,8 +6,8 @@
 // The uncertainty of §4.3 is injected on top by the data package exactly as
 // the paper does for the real datasets, so every code path (pdf
 // construction, fractional splitting, interval pruning) is exercised
-// identically; only absolute accuracy values differ. See DESIGN.md
-// "Substitutions".
+// identically; only absolute accuracy values differ. See README.md,
+// "Reproducing the paper".
 package uci
 
 import (

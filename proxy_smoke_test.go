@@ -1,11 +1,12 @@
 package udt_test
 
 // Serving-tier integration smoke: two real udtserve replicas (multi-model
-// registry from one manifest) behind a real udtproxy, driven with a mixed
-// per-model traffic schedule. One replica is killed between traffic phases;
-// the proxy's transport-level retry plus health-checked failover must keep
-// the post-kill phase at zero failed requests, and the surviving replica's
-// Prometheus exposition must carry per-model series for every model served.
+// registry from one manifest) behind a real udtproxy, driven with mixed
+// single, batch and stream requests to both models. One replica is killed
+// between traffic phases; the proxy's transport-level retry plus
+// health-checked failover must keep the post-kill phase at zero failed
+// requests, and the surviving replica's Prometheus exposition must carry
+// per-model series for every model served.
 
 import (
 	"bufio"
@@ -172,27 +173,19 @@ func TestProxyFailoverSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	client := &http.Client{Timeout: 10 * time.Second}
 	drive := func(phase string, seed int64) {
 		t.Helper()
-		rep, err := loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL:     proxyURL,
-			QPS:         150,
-			Duration:    600 * time.Millisecond,
-			Seed:        seed,
-			Mix:         loadgen.Mix{Single: 0.6, Batch: 0.2, Stream: 0.2},
-			Models:      map[string]float64{"alpha": 0.7, "beta": 0.3},
-			BatchSize:   4,
-			StreamLines: 4,
-			Timeout:     10 * time.Second,
-		}, payloads)
+		const requests = 90
+		res, err := loadgen.Drive(context.Background(), client, proxyURL, payloads, seed, requests, "alpha", "beta")
 		if err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
-		if rep.Requests.OK == 0 || rep.Requests.Errors != 0 || rep.Requests.Rejected != 0 {
-			t.Fatalf("%s: requests = %+v, want all OK", phase, rep.Requests)
+		if res.OK != requests || res.Failed != 0 {
+			t.Fatalf("%s: drive = %+v, want all %d requests OK", phase, res, requests)
 		}
 		for _, model := range []string{"alpha", "beta"} {
-			if s := rep.Latency["model:"+model]; s == nil || s.Count == 0 {
+			if res.ByModel[model] == 0 {
 				t.Fatalf("%s: no traffic reached model %s", phase, model)
 			}
 		}

@@ -21,6 +21,7 @@ import (
 	"udt/internal/data"
 	"udt/internal/eval"
 	"udt/internal/experiments"
+	"udt/internal/forest"
 	"udt/internal/obs"
 	"udt/internal/pdf"
 	"udt/internal/split"
@@ -271,8 +272,16 @@ func runExample() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Averaging tree (accuracy %.0f%%):\n%s\n", eval.Accuracy(avg, ds)*100, avg.Dump())
-	fmt.Printf("Distribution-based tree (accuracy %.0f%%):\n%s\n", eval.Accuracy(udtTree, ds)*100, udtTree.Dump())
+	for _, m := range []struct {
+		name string
+		tree *core.Tree
+	}{{"Averaging", avg}, {"Distribution-based", udtTree}} {
+		f, err := forest.FromTree(m.tree)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s tree (accuracy %.0f%%):\n%s\n", m.name, eval.Accuracy(f, ds)*100, m.tree.Dump())
+	}
 	fmt.Println("Classification distributions (UDT):")
 	for i, tu := range ds.Tuples {
 		dist := udtTree.Classify(tu)

@@ -44,6 +44,7 @@ import (
 	"udt/internal/forest"
 	"udt/internal/modelio"
 	"udt/internal/obs"
+	"udt/internal/par"
 )
 
 func main() {
@@ -414,7 +415,7 @@ type emitFunc func(n int, classes []string, dist []float64) error
 // humanEmitter prints the legacy annotated format, one tuple per line.
 func humanEmitter(w io.Writer) emitFunc {
 	return func(n int, classes []string, dist []float64) error {
-		fmt.Fprintf(w, "tuple %d: %s", n, classes[eval.Argmax(dist)])
+		fmt.Fprintf(w, "tuple %d: %s", n, classes[par.Argmax(dist)])
 		for c, p := range dist {
 			fmt.Fprintf(w, "  P(%s)=%.4f", classes[c], p)
 		}
@@ -723,26 +724,26 @@ func cvCmd(args []string) error {
 		return err
 	}
 	cfg := udt.Config{Measure: m, Strategy: st, MaxDepth: *maxDepth, PostPrune: true, Workers: *workers, Parallelism: *parallel}
-	res, err := udt.CrossValidate(ds, *folds, cfg, rand.New(rand.NewSource(*seed)))
+	res, err := udt.CrossValidate(ds, *folds, udt.TreeTrainer(cfg), rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("UDT %d-fold CV accuracy: %.2f%% (%d entropy calcs, %v build)\n",
 		*folds, res.Accuracy*100, res.Search.EntropyCalcs(), res.BuildTime.Round(time.Millisecond))
 	if *avg {
-		avgDS := ds.Means()
-		resAvg, err := udt.CrossValidate(avgDS, *folds, cfg, rand.New(rand.NewSource(*seed)))
+		// The same seed deals the same folds; test folds keep their pdfs.
+		resAvg, err := udt.CrossValidate(ds, *folds, udt.AveragingTrainer(cfg), rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			return err
 		}
 		fmt.Printf("AVG %d-fold CV accuracy: %.2f%%\n", *folds, resAvg.Accuracy*100)
 	}
-	// Per-class metrics from a single train/test split for detail.
-	tree, err := udt.Build(ds, cfg)
+	// Per-class metrics on the training set for detail.
+	model, err := udt.TreeTrainer(cfg)(ds)
 	if err != nil {
 		return err
 	}
-	conf, brier, logLoss := udt.Evaluate(tree, ds)
+	conf, brier, logLoss := udt.Evaluate(model, ds)
 	metrics, err := udt.PerClass(ds.Classes, conf)
 	if err != nil {
 		return err

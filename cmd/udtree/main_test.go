@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"udt"
 	"udt/internal/eval"
 	"udt/internal/modelio"
+	"udt/internal/par"
 )
 
 const trainCSV = `x,y,class
@@ -136,7 +138,7 @@ func materialisedPredictOutput(t *testing.T, modelPath, csvPath string) string {
 	var b bytes.Buffer
 	for i, tu := range ds.Tuples {
 		dist := mdl.Classify(tu)
-		fmt.Fprintf(&b, "tuple %d: %s", i+1, classes[eval.Argmax(dist)])
+		fmt.Fprintf(&b, "tuple %d: %s", i+1, classes[par.Argmax(dist)])
 		for c, p := range dist {
 			fmt.Fprintf(&b, "  P(%s)=%.4f", classes[c], p)
 		}
@@ -459,6 +461,52 @@ func TestCVSubcommand(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("cv output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCVAveragingKeepsTestPdfs: cv -avg runs the library's AVG protocol on
+// the folds the UDT line used: training folds collapse to their means, test
+// folds keep their pdfs. Class lo puts 0.55 of its mass at 9 but has its
+// mean below every hi mean, so an AVG tree scores lo tuples correctly only
+// when they too are collapsed to their means.
+func TestCVAveragingKeepsTestPdfs(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("x,class\n")
+	for i := 0; i < 10; i++ {
+		j := float64(i) / 100
+		fmt.Fprintf(&csv, "%g@0.45;%g@0.55,lo\n", j, 9+j)
+		fmt.Fprintf(&csv, "%g;%g,hi\n", 5.5+j, 6.5+j)
+	}
+	path := filepath.Join(t.TempDir(), "aliased.csv")
+	if err := os.WriteFile(path, []byte(csv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error {
+		return cvCmd([]string{"-in", path, "-folds", "5", "-avg", "-seed", "3"})
+	})
+	if err != nil {
+		t.Fatalf("cv: %v", err)
+	}
+
+	ds, err := loadCSV(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := udt.Config{Strategy: udt.StrategyES, PostPrune: true, Workers: 1, Parallelism: 1}
+	want, err := eval.CrossValidate(ds, 5, eval.Averaging(cfg), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	collapsed, err := eval.CrossValidate(ds.Means(), 5, eval.Tree(cfg), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("AVG 5-fold CV accuracy: %.2f%%\n", want.Accuracy*100)
+	if line == fmt.Sprintf("AVG 5-fold CV accuracy: %.2f%%\n", collapsed.Accuracy*100) {
+		t.Fatalf("fixture does not tell the protocols apart: both print %q", line)
+	}
+	if !strings.Contains(out, line) {
+		t.Fatalf("cv output lacks the library's AVG line %q:\n%s", line, out)
 	}
 }
 

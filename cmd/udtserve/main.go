@@ -144,10 +144,10 @@ import (
 
 	"udt"
 	"udt/internal/cliutil"
-	"udt/internal/eval"
 	"udt/internal/forest"
 	"udt/internal/modelio"
 	"udt/internal/obs"
+	"udt/internal/par"
 	"udt/internal/registry"
 )
 
@@ -551,7 +551,7 @@ func (s *server) classifyEntry(e *registry.Entry, w http.ResponseWriter, r *http
 			for c, p := range dist {
 				m[classes[c]] = p
 			}
-			preds[i] = eval.Argmax(dist)
+			preds[i] = par.Argmax(dist)
 			results[i] = resultJSON{Class: classes[preds[i]], Dist: m}
 		}
 	}
@@ -689,7 +689,7 @@ func (s *server) classifyStreamEntry(e *registry.Entry, w http.ResponseWriter, r
 			} else {
 				dist := am.Model.Classify(tu)
 				if e.ShadowPath != "" {
-					e.ShadowCompare([]*udt.Tuple{tu}, []int{eval.Argmax(dist)}, [][]float64{dist}, 1)
+					e.ShadowCompare([]*udt.Tuple{tu}, []int{par.Argmax(dist)}, [][]float64{dist}, 1)
 				}
 				out = modelio.NewStreamResult(line, classes, dist)
 			}

@@ -127,18 +127,13 @@ func determinismKinds(ds *udt.Dataset) []struct {
 	}
 }
 
-// treeForest wraps a single tree as the one-member forest it is served as.
-func treeForest(tree *udt.Tree) (*udt.Forest, error) {
-	return forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
-}
-
 // encodeBinaryModel renders any trained model kind to its binary container
 // bytes.
 func encodeBinaryModel(t *testing.T, m any) []byte {
 	t.Helper()
 	if tree, ok := m.(*udt.Tree); ok {
 		var err error
-		if m, err = treeForest(tree); err != nil {
+		if m, err = forest.FromTree(tree); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,11 +310,7 @@ func TestEarlyExitDeterminismMatrix(t *testing.T) {
 		{
 			name: "single tree",
 			train: func() (*udt.Forest, error) {
-				tree, err := udt.Build(ds, udt.Config{MinWeight: 2, PostPrune: true})
-				if err != nil {
-					return nil, err
-				}
-				return treeForest(tree)
+				return udt.TreeTrainer(udt.Config{MinWeight: 2, PostPrune: true})(ds)
 			},
 		},
 		{

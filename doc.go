@@ -56,6 +56,13 @@
 // versioned multi-tree JSON container that cmd/udtserve loads
 // interchangeably with single-tree models.
 //
+// Evaluation has one path for every model kind. Accuracy, Confusion and
+// Evaluate take a *Forest (TreeModel wraps a built tree), and the protocols
+// TrainTest and CrossValidate take a Trainer: TreeTrainer, AveragingTrainer
+// (the paper's AVG baseline, which keeps the test pdfs), BaggedTrainer or
+// BoostedTrainer. CrossValidate runs from equal rng states deal identical
+// folds, so the kinds compare fold for fold.
+//
 // # Quick start
 //
 //	ds := udt.NewDataset("fever", 1, []string{"healthy", "fever"})

@@ -22,9 +22,11 @@ func ExampleBuild() {
 	cfg := udt.Config{MinWeight: 0.01}
 	avg, _ := udt.BuildAveraging(ds, cfg)
 	dist, _ := udt.Build(ds, cfg)
+	avgModel, _ := udt.TreeModel(avg)
+	distModel, _ := udt.TreeModel(dist)
 
-	fmt.Printf("Averaging:          %.0f%%\n", udt.Accuracy(avg, ds)*100)
-	fmt.Printf("Distribution-based: %.0f%%\n", udt.Accuracy(dist, ds)*100)
+	fmt.Printf("Averaging:          %.0f%%\n", udt.Accuracy(avgModel, ds)*100)
+	fmt.Printf("Distribution-based: %.0f%%\n", udt.Accuracy(distModel, ds)*100)
 	// Output:
 	// Averaging:          67%
 	// Distribution-based: 100%

@@ -67,11 +67,11 @@ func main() {
 
 	cfg := udt.Config{Strategy: udt.StrategyES, PostPrune: true}
 
-	avgRes, err := udt.TrainTest(train.Means(), test, cfg)
+	avgRes, err := udt.TrainTest(train, test, udt.AveragingTrainer(cfg))
 	if err != nil {
 		log.Fatal(err)
 	}
-	udtRes, err := udt.TrainTest(train, test, cfg)
+	udtRes, err := udt.TrainTest(train, test, udt.TreeTrainer(cfg))
 	if err != nil {
 		log.Fatal(err)
 	}

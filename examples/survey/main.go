@@ -64,8 +64,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	model, err := udt.TreeModel(tree)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("survey classifier: %s, self-accuracy %.1f%%\n\n",
-		tree, udt.Accuracy(tree, ds)*100)
+		tree, udt.Accuracy(model, ds)*100)
 
 	// A respondent who answered "8-10 hours", age 35, watching logs split
 	// 50/30/20 across categories.

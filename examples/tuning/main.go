@@ -69,7 +69,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	model, err := udt.TreeModel(tree)
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, brier, logLoss := udt.Evaluate(model, repaired)
 	fmt.Printf("repaired %d missing values; final model: %s\n", missing, tree)
 	fmt.Printf("training accuracy %.1f%%, Brier %.4f, log-loss %.4f\n",
-		udt.Accuracy(tree, repaired)*100, udt.Brier(tree, repaired), udt.LogLoss(tree, repaired))
+		udt.Accuracy(model, repaired)*100, brier, logLoss)
 }

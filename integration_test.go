@@ -50,7 +50,11 @@ func TestIntegrationInjectedPipeline(t *testing.T) {
 					}
 				}
 			}
-			if acc := udt.Accuracy(tree, ds); acc < 0.8 {
+			model, err := udt.TreeModel(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc := udt.Accuracy(model, ds); acc < 0.8 {
 				t.Fatalf("%v/%v: accuracy %v", m, st, acc)
 			}
 		}
@@ -67,11 +71,11 @@ func TestIntegrationRawPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := udt.Config{Strategy: udt.StrategyES, PostPrune: true}
-	avg, err := udt.TrainTest(train.Means(), test, cfg)
+	avg, err := udt.TrainTest(train, test, udt.AveragingTrainer(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := udt.TrainTest(train, test, cfg)
+	dist, err := udt.TrainTest(train, test, udt.TreeTrainer(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,19 +149,19 @@ func TestIntegrationMixedAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := udt.Build(filled, udt.Config{
+	model, err := udt.TreeTrainer(udt.Config{
 		Strategy:    udt.StrategyES,
 		PostPrune:   true,
 		Parallelism: 4,
-	})
+	})(filled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := udt.Accuracy(tree, filled); acc < 0.85 {
+	if acc := udt.Accuracy(model, filled); acc < 0.85 {
 		t.Fatalf("mixed-attribute accuracy = %v", acc)
 	}
-	if udt.Brier(tree, filled) > 0.3 {
-		t.Fatalf("Brier = %v", udt.Brier(tree, filled))
+	if _, brier, _ := udt.Evaluate(model, filled); brier > 0.3 {
+		t.Fatalf("Brier = %v", brier)
 	}
 }
 

@@ -72,16 +72,6 @@ func sameDist(t *testing.T, what string, i int, got, want []float64) {
 	}
 }
 
-// treeForest wraps a single tree as the one-member KindTree forest.
-func treeForest(t testing.TB, tree *core.Tree) *forest.Forest {
-	t.Helper()
-	f, err := forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // TestTreeRoundTrip: encode a single tree, load it via mmap and via the slab
 // path, and require classifications byte-identical to the tree's own
 // compiled engine on training tuples.
@@ -95,7 +85,11 @@ func TestTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeForest(b, treeForest(t, tree)) })
+	tf, err := forest.FromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeForest(b, tf) })
 
 	c, err := Load(path)
 	if err != nil {
@@ -354,7 +348,11 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeForest(b, treeForest(t, tree)) })
+	tf, err := forest.FromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := encodeToFile(t, func(b *bytes.Buffer) error { return EncodeForest(b, tf) })
 
 	mapped, err := Load(path)
 	if err != nil {

@@ -32,8 +32,12 @@ func FuzzDecodeBinary(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	tf, err := forest.FromTree(tree)
+	if err != nil {
+		f.Fatal(err)
+	}
 	var treeImg bytes.Buffer
-	if err := EncodeForest(&treeImg, treeForest(f, tree)); err != nil {
+	if err := EncodeForest(&treeImg, tf); err != nil {
 		f.Fatal(err)
 	}
 

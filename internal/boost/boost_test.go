@@ -44,7 +44,7 @@ func stumpConfig() core.Config {
 // configuration sees the uniform weights of round one).
 func TestTrainImprovesOverSingleTree(t *testing.T) {
 	ds := spiralDataset(rand.New(rand.NewSource(3)), 240)
-	single, err := core.Build(ds, stumpConfig())
+	single, err := eval.Tree(stumpConfig())(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTrainImprovesOverSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	singleAcc := eval.Accuracy(single, ds)
-	boostAcc := eval.ForestAccuracy(boosted, ds)
+	boostAcc := eval.Accuracy(boosted, ds)
 	if boosted.NumTrees() < 2 {
 		t.Fatalf("boosting stopped after %d rounds; the task is too easy for the test to mean anything", boosted.NumTrees())
 	}
@@ -118,7 +118,7 @@ func TestPerfectMemberStopsEarly(t *testing.T) {
 	if f.NumTrees() != 1 {
 		t.Fatalf("perfect member did not stop training: %d trees", f.NumTrees())
 	}
-	if acc := eval.ForestAccuracy(f, ds); acc != 1 {
+	if acc := eval.Accuracy(f, ds); acc != 1 {
 		t.Fatalf("perfect ensemble has accuracy %v", acc)
 	}
 }

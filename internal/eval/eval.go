@@ -1,149 +1,119 @@
 // Package eval measures classifier quality and construction cost: accuracy,
 // confusion matrices, train/test and 10-fold cross-validation protocols
 // (§4.3), and timing/counter harnesses for the efficiency study of §6.
+//
+// Every measurement is over a *forest.Forest (a single tree is a one-member
+// forest) and every protocol takes a Trainer, so the AVG baseline, the UDT
+// tree and the bagged and boosted ensembles are evaluated by one code path.
 package eval
 
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"time"
 
+	"udt/internal/boost"
 	"udt/internal/core"
 	"udt/internal/data"
+	"udt/internal/forest"
 	"udt/internal/split"
 )
 
 // Result aggregates one evaluation run.
 type Result struct {
-	Accuracy     float64
-	Confusion    [][]float64 // [true class][predicted class] test weight
-	BuildTime    time.Duration
-	ClassifyTime time.Duration
-	Search       split.Stats // split-search work during construction
-	Nodes        int
-	Leaves       int
-	Depth        int
+	Accuracy  float64
+	Confusion [][]float64   // [true class][predicted class] test weight
+	BuildTime time.Duration // training, including compiling the model
+	Search    split.Stats   // split-search work during construction
+	Nodes     int
+	Leaves    int
+	Depth     int
 }
 
-// Accuracy returns the fraction of test tuples whose predicted label
-// (argmax of the classification distribution, §3.2) matches the true label.
-// The test set runs through the compiled inference engine.
-func Accuracy(t *core.Tree, test *data.Dataset) float64 {
-	if test.Len() == 0 {
-		return 0
+// Trainer fits a model to a training set. The protocols take one, so a model
+// kind is evaluated by supplying its trainer.
+type Trainer func(*data.Dataset) (*forest.Forest, error)
+
+// Tree trains one Distribution-based (UDT) tree.
+func Tree(cfg core.Config) Trainer {
+	return func(ds *data.Dataset) (*forest.Forest, error) {
+		return fromTree(core.Build(ds, cfg))
 	}
-	return accuracyOf(predictions(t, test), test)
 }
 
-// AccuracyOf is the fraction of tuples whose precomputed prediction matches
-// the label (0 on an empty test set) — for callers that already hold a batch
-// of predictions from any model.
-func AccuracyOf(preds []int, test *data.Dataset) float64 { return accuracyOf(preds, test) }
-
-// ConfusionOf folds precomputed per-tuple predictions into a
-// weight-weighted confusion matrix.
-func ConfusionOf(classes []string, preds []int, test *data.Dataset) [][]float64 {
-	return confusion(classes, preds, test)
-}
-
-// accuracyOf is the fraction of tuples whose prediction matches the label.
-func accuracyOf(preds []int, test *data.Dataset) float64 {
-	if test.Len() == 0 {
-		return 0
+// Averaging trains the AVG baseline: one tree on the training pdfs collapsed
+// to their means. Test tuples keep their uncertainty (the paper classifies
+// uncertain test tuples with both approaches).
+func Averaging(cfg core.Config) Trainer {
+	return func(ds *data.Dataset) (*forest.Forest, error) {
+		return fromTree(core.BuildAveraging(ds, cfg))
 	}
-	correct := 0
-	for i, tu := range test.Tuples {
-		if preds[i] == tu.Class {
-			correct++
-		}
-	}
-	return float64(correct) / float64(test.Len())
 }
+
+// fromTree wraps a freshly built tree as a model, passing a build error on.
+func fromTree(t *core.Tree, err error) (*forest.Forest, error) {
+	if err != nil {
+		return nil, err
+	}
+	return forest.FromTree(t)
+}
+
+// Bagged trains a bagged ensemble.
+func Bagged(cfg forest.Config) Trainer {
+	return func(ds *data.Dataset) (*forest.Forest, error) { return forest.Train(ds, cfg) }
+}
+
+// Boosted trains a boosted (SAMME) ensemble.
+func Boosted(cfg boost.Config) Trainer {
+	return func(ds *data.Dataset) (*forest.Forest, error) { return boost.Train(ds, cfg) }
+}
+
+// fold classifies the test set in one compiled batch and folds the
+// predictions into an Accumulator. Batch results are identical at any worker
+// count, so evaluation uses every available CPU.
+func fold(f *forest.Forest, test *data.Dataset) *Accumulator {
+	a := NewAccumulator(test.Classes)
+	a.Add(test.Tuples, f.PredictBatch(test.Tuples, runtime.GOMAXPROCS(0)))
+	return a
+}
+
+// Accuracy returns the fraction of test tuples whose predicted label (argmax
+// of the classification distribution, §3.2) matches the true label, 0 on an
+// empty test set.
+func Accuracy(f *forest.Forest, test *data.Dataset) float64 { return fold(f, test).Accuracy() }
 
 // Confusion returns the weight-weighted confusion matrix over the test set.
-func Confusion(t *core.Tree, test *data.Dataset) [][]float64 {
-	return confusion(test.Classes, predictions(t, test), test)
+func Confusion(f *forest.Forest, test *data.Dataset) [][]float64 {
+	return fold(f, test).Confusion()
 }
 
-// predictions runs the whole test set through the compiled engine (with the
-// tree's Workers knob bounding batch concurrency), falling back to the
-// recursive descent for trees that do not compile.
-func predictions(t *core.Tree, test *data.Dataset) []int {
-	if c, err := t.Compile(); err == nil {
-		return c.PredictBatch(test.Tuples, t.Config.Workers)
-	}
-	out := make([]int, test.Len())
-	for i, tu := range test.Tuples {
-		out[i] = t.Predict(tu)
-	}
-	return out
-}
-
-// confusion folds per-tuple predictions into a weight-weighted confusion
-// matrix — a one-batch Accumulator, so the materialised and streamed
-// evaluation paths share the fold.
-func confusion(classes []string, preds []int, test *data.Dataset) [][]float64 {
-	a := NewAccumulator(classes)
-	a.Add(test.Tuples, preds)
-	return a.Confusion()
-}
-
-// TrainTest builds a tree on train and evaluates on test.
-func TrainTest(train, test *data.Dataset, cfg core.Config) (Result, error) {
+// TrainTest trains a model on train and evaluates it on test.
+func TrainTest(train, test *data.Dataset, fit Trainer) (Result, error) {
 	start := time.Now()
-	tree, err := core.Build(train, cfg)
+	f, err := fit(train)
 	if err != nil {
 		return Result{}, err
 	}
 	build := time.Since(start)
-
-	// One compiled batch pass yields both the accuracy and the confusion
-	// matrix.
-	start = time.Now()
-	preds := predictions(tree, test)
-	classify := time.Since(start)
-
+	a := fold(f, test)
+	stats := f.Stats()
 	return Result{
-		Accuracy:     accuracyOf(preds, test),
-		Confusion:    confusion(test.Classes, preds, test),
-		BuildTime:    build,
-		ClassifyTime: classify,
-		Search:       tree.Stats.Search,
-		Nodes:        tree.Stats.Nodes,
-		Leaves:       tree.Stats.Leaves,
-		Depth:        tree.Stats.Depth,
+		Accuracy:  a.Accuracy(),
+		Confusion: a.Confusion(),
+		BuildTime: build,
+		Search:    stats.Search,
+		Nodes:     stats.Nodes,
+		Leaves:    stats.Leaves,
+		Depth:     stats.Depth,
 	}, nil
 }
 
-// TrainTestAveraging is TrainTest with the Averaging baseline: the training
-// pdfs are collapsed to their means before construction. Test tuples keep
-// their uncertainty (the paper classifies uncertain test tuples with both
-// approaches).
-func TrainTestAveraging(train, test *data.Dataset, cfg core.Config) (Result, error) {
-	return TrainTest(train.Means(), test, cfg)
-}
-
 // CrossValidate runs stratified k-fold cross-validation and returns the
-// pooled result (accuracy weighted by fold size, summed work counters).
-func CrossValidate(ds *data.Dataset, k int, cfg core.Config, rng *rand.Rand) (Result, error) {
-	return crossValidate(ds, k, rng, func(train, test *data.Dataset) (Result, error) {
-		return TrainTest(train, test, cfg)
-	})
-}
-
-// CrossValidateAveraging is CrossValidate with mean-collapsed training
-// folds (test folds keep their pdfs).
-func CrossValidateAveraging(ds *data.Dataset, k int, cfg core.Config, rng *rand.Rand) (Result, error) {
-	return crossValidate(ds, k, rng, func(train, test *data.Dataset) (Result, error) {
-		return TrainTest(train.Means(), test, cfg)
-	})
-}
-
-// crossValidate is the shared k-fold protocol: stratified folds from rng,
-// one run per fold, accuracy pooled by test-fold size, work counters
-// summed, depth maximised. Every CV variant (UDT, Averaging, forest) routes
-// through it so the pooling math lives once.
-func crossValidate(ds *data.Dataset, k int, rng *rand.Rand, run func(train, test *data.Dataset) (Result, error)) (Result, error) {
+// pooled result: accuracy weighted by test-fold size, work counters summed,
+// depth maximised. The folds depend on ds, k and rng alone, so trainers run
+// from equal rng states see identical folds.
+func CrossValidate(ds *data.Dataset, k int, fit Trainer, rng *rand.Rand) (Result, error) {
 	if rng == nil {
 		return Result{}, errors.New("eval: nil rng")
 	}
@@ -154,14 +124,13 @@ func crossValidate(ds *data.Dataset, k int, rng *rand.Rand, run func(train, test
 	var pooled Result
 	var correctW, totalW float64
 	for _, f := range folds {
-		r, err := run(f.Train, f.Test)
+		r, err := TrainTest(f.Train, f.Test, fit)
 		if err != nil {
 			return Result{}, err
 		}
 		correctW += r.Accuracy * float64(f.Test.Len())
 		totalW += float64(f.Test.Len())
 		pooled.BuildTime += r.BuildTime
-		pooled.ClassifyTime += r.ClassifyTime
 		pooled.Search.Add(r.Search)
 		pooled.Nodes += r.Nodes
 		pooled.Leaves += r.Leaves

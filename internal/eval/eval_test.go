@@ -1,12 +1,17 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
+	"udt/internal/boost"
 	"udt/internal/core"
 	"udt/internal/data"
+	"udt/internal/forest"
 	"udt/internal/pdf"
 )
 
@@ -21,18 +26,50 @@ func separableDataset(n int, rng *rand.Rand) *data.Dataset {
 	return ds
 }
 
-func TestAccuracyPerfect(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ds := separableDataset(40, rng)
-	tree, err := core.Build(ds, core.Config{})
+// forestDataset builds a separable two-attribute, three-class dataset.
+func forestDataset(n int) *data.Dataset {
+	ds := data.NewDataset("fe", 2, []string{"a", "b", "c"})
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < n; i++ {
+		c := i % 3
+		base := float64(c * 8)
+		p1, _ := pdf.Uniform(base-1.5+rng.Float64(), base+1.5+rng.Float64(), 7)
+		ds.Add(c, p1, pdf.Point(base+2*rng.Float64()))
+	}
+	return ds
+}
+
+// overlappingDataset is forestDataset(n) plus tuples whose pdfs span every
+// class region, so no model predicts every tuple correctly and some
+// distributions split their mass across classes.
+func overlappingDataset(n int) *data.Dataset {
+	ds := forestDataset(n)
+	for i := 0; i < 12; i++ {
+		p, _ := pdf.Uniform(-2, 18, 9)
+		ds.Add(i%3, p, pdf.Point(float64(i)))
+	}
+	return ds
+}
+
+// mustFit trains a model or fails the test.
+func mustFit(t testing.TB, fit Trainer, ds *data.Dataset) *forest.Forest {
+	t.Helper()
+	f, err := fit(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(tree, ds); acc != 1 {
+	return f
+}
+
+func TestAccuracyPerfect(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ds := separableDataset(40, rng)
+	f := mustFit(t, Tree(core.Config{}), ds)
+	if acc := Accuracy(f, ds); acc != 1 {
 		t.Fatalf("accuracy on separable data = %v", acc)
 	}
 	empty := ds.Subset(nil)
-	if acc := Accuracy(tree, empty); acc != 0 {
+	if acc := Accuracy(f, empty); acc != 0 {
 		t.Fatalf("accuracy on empty set = %v", acc)
 	}
 }
@@ -40,11 +77,7 @@ func TestAccuracyPerfect(t *testing.T) {
 func TestConfusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := separableDataset(20, rng)
-	tree, err := core.Build(ds, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Confusion(tree, ds)
+	m := Confusion(mustFit(t, Tree(core.Config{}), ds), ds)
 	if len(m) != 2 || len(m[0]) != 2 {
 		t.Fatalf("confusion shape %dx%d", len(m), len(m[0]))
 	}
@@ -61,7 +94,7 @@ func TestTrainTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	train := separableDataset(40, rng)
 	test := separableDataset(20, rng)
-	r, err := TrainTest(train, test, core.Config{})
+	r, err := TrainTest(train, test, Tree(core.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +113,7 @@ func TestTrainTestAveraging(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	train := separableDataset(40, rng)
 	test := separableDataset(20, rng)
-	r, err := TrainTestAveraging(train, test, core.Config{})
+	r, err := TrainTest(train, test, Averaging(core.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +125,7 @@ func TestTrainTestAveraging(t *testing.T) {
 func TestCrossValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := separableDataset(50, rng)
-	r, err := CrossValidate(ds, 5, core.Config{}, rand.New(rand.NewSource(6)))
+	r, err := CrossValidate(ds, 5, Tree(core.Config{}), rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +135,10 @@ func TestCrossValidate(t *testing.T) {
 	if r.Nodes == 0 {
 		t.Fatal("pooled stats missing")
 	}
-	if _, err := CrossValidate(ds, 5, core.Config{}, nil); err == nil {
+	if _, err := CrossValidate(ds, 5, Tree(core.Config{}), nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	if _, err := CrossValidate(ds, 1, core.Config{}, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := CrossValidate(ds, 1, Tree(core.Config{}), rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("k=1 accepted")
 	}
 }
@@ -113,15 +146,12 @@ func TestCrossValidate(t *testing.T) {
 func TestCrossValidateAveraging(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := separableDataset(50, rng)
-	r, err := CrossValidateAveraging(ds, 5, core.Config{}, rand.New(rand.NewSource(8)))
+	r, err := CrossValidate(ds, 5, Averaging(core.Config{}), rand.New(rand.NewSource(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Accuracy < 0.95 {
 		t.Fatalf("AVG CV accuracy = %v", r.Accuracy)
-	}
-	if _, err := CrossValidateAveraging(ds, 5, core.Config{}, nil); err == nil {
-		t.Fatal("nil rng accepted")
 	}
 }
 
@@ -141,11 +171,11 @@ func TestUDTBeatsAVGOnMeanAliasedData(t *testing.T) {
 		}
 	}
 	cfg := core.Config{MinWeight: 1}
-	avg, err := CrossValidateAveraging(ds, 5, cfg, rand.New(rand.NewSource(10)))
+	avg, err := CrossValidate(ds, 5, Averaging(cfg), rand.New(rand.NewSource(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	udt, err := CrossValidate(ds, 5, cfg, rand.New(rand.NewSource(10)))
+	udt, err := CrossValidate(ds, 5, Tree(cfg), rand.New(rand.NewSource(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,84 +187,186 @@ func TestUDTBeatsAVGOnMeanAliasedData(t *testing.T) {
 	}
 }
 
-// TestEvalCompiledPathMatchesRecursive pins the batch compiled path the
-// evaluation protocol now runs on to per-tuple recursive inference: same
-// accuracy, same confusion matrix, same scores, for serial and parallel
-// Workers settings.
-func TestEvalCompiledPathMatchesRecursive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	ds := separableDataset(80, rng)
-	// Overlap the classes a little so predictions are not all trivially
-	// correct.
-	for i := 0; i < 10; i++ {
-		p, _ := pdf.Uniform(-1, 11, 9)
-		ds.Add(i%2, p)
+// TestForestTrainTest: the result must carry aggregate member statistics and
+// a sane accuracy on separable data.
+func TestForestTrainTest(t *testing.T) {
+	ds := forestDataset(120)
+	rng := rand.New(rand.NewSource(5))
+	train, test := ds.Split(0.7, rng)
+	r, err := TrainTest(train, test, Bagged(forest.Config{Trees: 9, Seed: 2, TreeConfig: core.Config{MinWeight: 1}}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if r.Accuracy < 0.8 {
+		t.Fatalf("forest train/test accuracy %v too low for separable data", r.Accuracy)
+	}
+	if r.Nodes < 9 || r.Leaves < 9 || r.Depth < 1 {
+		t.Fatalf("missing aggregate stats: %+v", r)
+	}
+	if len(r.Confusion) != len(ds.Classes) {
+		t.Fatalf("confusion matrix has %d rows", len(r.Confusion))
+	}
+}
+
+// TestForestCrossValidate: a bagged ensemble runs the same pooled protocol,
+// errors surfaced.
+func TestForestCrossValidate(t *testing.T) {
+	ds := forestDataset(90)
+	fit := Bagged(forest.Config{Trees: 5, Seed: 1, TreeConfig: core.Config{MinWeight: 1}})
+	r, err := CrossValidate(ds, 3, fit, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Accuracy <= 0.5 || r.Accuracy > 1 {
+		t.Fatalf("pooled CV accuracy %v implausible", r.Accuracy)
+	}
+	if _, err := CrossValidate(ds, 3, fit, nil); err == nil {
+		t.Fatal("nil rng accepted")
+	}
+}
+
+// TestEvalCompiledPathMatchesRecursive pins Accuracy, Confusion and
+// Evaluate on a tree-kind model, which classify the test set in one compiled
+// batch, to the recursive Tree.Predict and Tree.Classify, bit for bit, for
+// trees built with any worker count and for serial and parallel batches.
+func TestEvalCompiledPathMatchesRecursive(t *testing.T) {
+	ds := overlappingDataset(90)
 	for _, workers := range []int{0, 1, 4} {
-		tree, err := core.Build(ds, core.Config{Workers: workers})
+		tree, err := core.Build(ds, core.Config{MinWeight: 1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		correct := 0
-		for _, tu := range ds.Tuples {
-			if tree.Predict(tu) == tu.Class {
-				correct++
+		f, err := forest.FromTree(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Kind(); got != forest.KindTree {
+			t.Fatalf("FromTree made a %s model", got)
+		}
+		checkMetricsPerTuple(t, fmt.Sprintf("tree, workers=%d", workers), f, ds, tree.Predict, tree.Classify)
+	}
+}
+
+// TestForestMetricsAgainstManual pins Accuracy, Confusion and Evaluate on
+// bagged and boosted models to per-tuple Forest.Predict and Forest.Classify,
+// bit for bit, for serial and parallel batches.
+func TestForestMetricsAgainstManual(t *testing.T) {
+	ds := overlappingDataset(90)
+	for _, m := range []struct {
+		kind string
+		fit  Trainer
+	}{
+		{forest.KindBagged, Bagged(forest.Config{Trees: 7, Seed: 3, Workers: 4, TreeConfig: core.Config{MinWeight: 1}})},
+		{forest.KindBoosted, Boosted(boost.Config{Rounds: 6, TreeConfig: core.Config{MaxDepth: 2, MinWeight: 2}})},
+	} {
+		f := mustFit(t, m.fit, ds)
+		if got := f.Kind(); got != m.kind {
+			t.Fatalf("trained a %s model, want %s", got, m.kind)
+		}
+		checkMetricsPerTuple(t, m.kind, f, ds, f.Predict, f.Classify)
+	}
+}
+
+// checkMetricsPerTuple recomputes accuracy, the confusion matrix, Brier and
+// log-loss of f on ds from the per-tuple predict and classify, and fails
+// unless Accuracy, Confusion and Evaluate equal them exactly at GOMAXPROCS 1
+// and 4. It also fails when f predicts every tuple correctly, since such a
+// fixture cannot tell predictions apart.
+func checkMetricsPerTuple(t *testing.T, name string, f *forest.Forest, ds *data.Dataset,
+	predict func(*data.Tuple) int, classify func(*data.Tuple) []float64) {
+	t.Helper()
+	correct := 0
+	conf := make([][]float64, len(ds.Classes))
+	for i := range conf {
+		conf[i] = make([]float64, len(ds.Classes))
+	}
+	var brier, logLoss float64
+	for _, tu := range ds.Tuples {
+		pred := predict(tu)
+		if pred == tu.Class {
+			correct++
+		}
+		conf[tu.Class][pred] += tu.Weight
+		dist := classify(tu)
+		for c, p := range dist {
+			target := 0.0
+			if c == tu.Class {
+				target = 1
 			}
+			brier += (p - target) * (p - target)
 		}
-		wantAcc := float64(correct) / float64(ds.Len())
-		if acc := Accuracy(tree, ds); acc != wantAcc {
-			t.Fatalf("workers=%d: compiled-path accuracy %v, recursive %v", workers, acc, wantAcc)
+		logLoss -= math.Log(math.Max(dist[tu.Class], 1e-15))
+	}
+	n := float64(ds.Len())
+	acc, brier, logLoss := float64(correct)/n, brier/n, logLoss/n
+	if correct == ds.Len() {
+		t.Fatalf("%s: every tuple correct; the fixture cannot tell predictions apart", name)
+	}
+
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		gotAcc, gotConf := Accuracy(f, ds), Confusion(f, ds)
+		econf, ebrier, elog := Evaluate(f, ds)
+		runtime.GOMAXPROCS(prev)
+		if gotAcc != acc {
+			t.Errorf("%s, %d procs: Accuracy %v, per tuple %v", name, procs, gotAcc, acc)
 		}
-		m := Confusion(tree, ds)
-		want := make([][]float64, len(ds.Classes))
-		for i := range want {
-			want[i] = make([]float64, len(ds.Classes))
+		if !slices.EqualFunc(gotConf, conf, slices.Equal) || !slices.EqualFunc(econf, conf, slices.Equal) {
+			t.Errorf("%s, %d procs: Confusion %v, Evaluate %v, per tuple %v", name, procs, gotConf, econf, conf)
 		}
-		for _, tu := range ds.Tuples {
-			want[tu.Class][tree.Predict(tu)] += tu.Weight
+		if ebrier != brier || elog != logLoss {
+			t.Errorf("%s, %d procs: Evaluate scores (%v, %v), per tuple (%v, %v)", name, procs, ebrier, elog, brier, logLoss)
 		}
-		for i := range want {
-			for j := range want[i] {
-				if m[i][j] != want[i][j] {
-					t.Fatalf("workers=%d: confusion[%d][%d] = %v, recursive %v", workers, i, j, m[i][j], want[i][j])
-				}
+	}
+}
+
+// TestCrossValidateFoldsIdentical: the folds depend on the dataset, k and
+// the rng alone, which is what lets the experiments compare model kinds on
+// identical folds. Runs from one seed with different trainers each hand
+// their trainer the training folds of the reference deal
+// (StratifiedKFold from that seed), tuple for tuple and in order, and score
+// its test folds: the pooled accuracy equals the one recomputed over the
+// reference test folds with the models the run trained.
+func TestCrossValidateFoldsIdentical(t *testing.T) {
+	ds := overlappingDataset(60)
+	const k, seed = 4, 12
+	ref, err := ds.StratifiedKFold(k, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{MinWeight: 1}
+	trainers := map[string]Trainer{
+		"tree":      Tree(cfg),
+		"averaging": Averaging(cfg),
+		"bagged":    Bagged(forest.Config{Trees: 3, Seed: 4, TreeConfig: cfg}),
+		"boosted":   Boosted(boost.Config{Rounds: 3, TreeConfig: core.Config{MaxDepth: 2, MinWeight: 2}}),
+	}
+	for _, name := range []string{"tree", "averaging", "bagged", "boosted"} {
+		var seen [][]*data.Tuple
+		var models []*forest.Forest
+		record := func(train *data.Dataset) (*forest.Forest, error) {
+			seen = append(seen, train.Tuples)
+			f, err := trainers[name](train)
+			models = append(models, f)
+			return f, err
+		}
+		r, err := CrossValidate(ds, k, record, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != k {
+			t.Fatalf("%s: trainer called %d times, want %d", name, len(seen), k)
+		}
+		var correctW, totalW float64
+		for i, f := range ref {
+			if !slices.Equal(seen[i], f.Train.Tuples) {
+				t.Fatalf("%s: fold %d trained on other tuples than the reference deal", name, i)
 			}
+			correctW += Accuracy(models[i], f.Test) * float64(f.Test.Len())
+			totalW += float64(f.Test.Len())
 		}
-		recBrier, recLog := 0.0, 0.0
-		for _, tu := range ds.Tuples {
-			dist := tree.Classify(tu)
-			for c, p := range dist {
-				target := 0.0
-				if c == tu.Class {
-					target = 1
-				}
-				recBrier += (p - target) * (p - target)
-			}
-			p := dist[tu.Class]
-			if p < 1e-15 {
-				p = 1e-15
-			}
-			recLog -= math.Log(p)
-		}
-		recBrier /= float64(ds.Len())
-		recLog /= float64(ds.Len())
-		if got := Brier(tree, ds); math.Abs(got-recBrier) > 1e-12 {
-			t.Fatalf("workers=%d: Brier %v, recursive %v", workers, got, recBrier)
-		}
-		if got := LogLoss(tree, ds); math.Abs(got-recLog) > 1e-12 {
-			t.Fatalf("workers=%d: LogLoss %v, recursive %v", workers, got, recLog)
-		}
-		// The single-pass Evaluate must agree with the individual metrics.
-		conf, brier, logLoss := Evaluate(tree, ds)
-		if brier != Brier(tree, ds) || logLoss != LogLoss(tree, ds) {
-			t.Fatalf("workers=%d: Evaluate scores (%v, %v) diverge from Brier/LogLoss", workers, brier, logLoss)
-		}
-		for i := range conf {
-			for j := range conf[i] {
-				if conf[i][j] != m[i][j] {
-					t.Fatalf("workers=%d: Evaluate confusion[%d][%d] = %v, Confusion %v", workers, i, j, conf[i][j], m[i][j])
-				}
-			}
+		if want := correctW / totalW; r.Accuracy != want {
+			t.Errorf("%s: pooled accuracy %v, recomputed on the reference test folds %v", name, r.Accuracy, want)
 		}
 	}
 }

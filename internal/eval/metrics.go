@@ -3,9 +3,10 @@ package eval
 import (
 	"errors"
 	"math"
+	"runtime"
 
-	"udt/internal/core"
 	"udt/internal/data"
+	"udt/internal/forest"
 	"udt/internal/par"
 )
 
@@ -70,84 +71,35 @@ func MacroF1(metrics []ClassMetrics) float64 {
 	return sum / float64(len(metrics))
 }
 
-// Brier returns the mean Brier score of the tree's classification
-// distributions over the test set: the squared distance between the
-// predicted distribution and the one-hot true label, averaged over tuples.
-// Lower is better; 0 is perfect.
-func Brier(t *core.Tree, test *data.Dataset) float64 {
-	return brierOf(distributions(t, test), test)
-}
-
-func brierOf(dists [][]float64, test *data.Dataset) float64 {
-	if test.Len() == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i, tu := range test.Tuples {
-		for c, p := range dists[i] {
-			target := 0.0
-			if c == tu.Class {
-				target = 1
-			}
-			d := p - target
-			sum += d * d
-		}
-	}
-	return sum / float64(test.Len())
-}
-
-// LogLoss returns the mean negative log-likelihood (in nats) assigned to
-// the true labels, with probabilities clamped away from zero to keep the
-// score finite. Lower is better.
-func LogLoss(t *core.Tree, test *data.Dataset) float64 {
-	return logLossOf(distributions(t, test), test)
-}
-
-func logLossOf(dists [][]float64, test *data.Dataset) float64 {
-	if test.Len() == 0 {
-		return 0
-	}
-	const floor = 1e-15
-	sum := 0.0
-	for i, tu := range test.Tuples {
-		p := dists[i][tu.Class]
-		if p < floor {
-			p = floor
-		}
-		sum -= math.Log(p)
-	}
-	return sum / float64(test.Len())
-}
-
-// Argmax returns the index of the largest probability, lowest index winning
-// ties — the prediction convention of Tree.Predict, shared by every
-// consumer that already holds a classification distribution. It delegates to
-// par.Argmax, the one copy the inference engines use.
-func Argmax(dist []float64) int { return par.Argmax(dist) }
+// probFloor clamps the probability assigned to the true label away from
+// zero, keeping the log-loss finite.
+const probFloor = 1e-15
 
 // Evaluate classifies the test set once through the compiled engine and
-// derives the confusion matrix, Brier score and log-loss from that single
-// batch of distributions — what a report needs without classifying the set
-// three times.
-func Evaluate(t *core.Tree, test *data.Dataset) (conf [][]float64, brier, logLoss float64) {
-	dists := distributions(t, test)
+// derives the confusion matrix, the mean Brier score and the mean log-loss
+// from that single batch of distributions. The Brier score is the squared
+// distance between a tuple's distribution and its one-hot true label; the
+// log-loss is the negative log-likelihood (in nats) of the true label. Lower
+// is better for both, and both are 0 on an empty test set.
+func Evaluate(f *forest.Forest, test *data.Dataset) (conf [][]float64, brier, logLoss float64) {
+	dists := f.ClassifyBatch(test.Tuples, runtime.GOMAXPROCS(0))
 	preds := make([]int, len(dists))
-	for i, d := range dists {
-		preds[i] = Argmax(d)
-	}
-	return confusion(test.Classes, preds, test), brierOf(dists, test), logLossOf(dists, test)
-}
-
-// distributions classifies the whole test set through the compiled engine
-// (bounded by the tree's Workers knob), falling back to the recursive
-// descent for trees that do not compile.
-func distributions(t *core.Tree, test *data.Dataset) [][]float64 {
-	if c, err := t.Compile(); err == nil {
-		return c.ClassifyBatch(test.Tuples, t.Config.Workers)
-	}
-	out := make([][]float64, test.Len())
 	for i, tu := range test.Tuples {
-		out[i] = t.Classify(tu)
+		d := dists[i]
+		preds[i] = par.Argmax(d)
+		for c, p := range d {
+			if c == tu.Class {
+				p--
+			}
+			brier += p * p
+		}
+		logLoss -= math.Log(max(d[tu.Class], probFloor))
 	}
-	return out
+	if n := float64(test.Len()); n > 0 {
+		brier /= n
+		logLoss /= n
+	}
+	a := NewAccumulator(test.Classes)
+	a.Add(test.Tuples, preds)
+	return a.Confusion(), brier, logLoss
 }

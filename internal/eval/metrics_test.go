@@ -7,6 +7,7 @@ import (
 
 	"udt/internal/core"
 	"udt/internal/data"
+	"udt/internal/forest"
 	"udt/internal/pdf"
 )
 
@@ -62,12 +63,8 @@ func TestPerClassDegenerate(t *testing.T) {
 func TestBrierAndLogLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds := separableDataset(40, rng)
-	tree, err := core.Build(ds, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	brier := Brier(tree, ds)
-	ll := LogLoss(tree, ds)
+	f := mustFit(t, Tree(core.Config{}), ds)
+	_, brier, ll := Evaluate(f, ds)
 	// Separable data: near-perfect calibration.
 	if brier > 0.05 {
 		t.Fatalf("Brier = %v on separable data", brier)
@@ -75,8 +72,7 @@ func TestBrierAndLogLoss(t *testing.T) {
 	if ll > 0.1 {
 		t.Fatalf("log loss = %v on separable data", ll)
 	}
-	empty := ds.Subset(nil)
-	if Brier(tree, empty) != 0 || LogLoss(tree, empty) != 0 {
+	if _, brier, ll := Evaluate(f, ds.Subset(nil)); brier != 0 || ll != 0 {
 		t.Fatal("empty-set scores should be zero")
 	}
 }
@@ -88,12 +84,17 @@ func TestLogLossFiniteOnWrongConfidentModel(t *testing.T) {
 		NumAttrs: []data.Attribute{{Name: "x"}},
 		Root:     &core.Node{Dist: []float64{1, 0}, W: 1, ClassW: []float64{1, 0}},
 	}
+	f, err := forest.FromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ds := data.NewDataset("w", 1, []string{"A", "B"})
 	ds.Add(1, pdf.Point(0)) // true class B gets probability 0
-	if ll := LogLoss(tree, ds); math.IsInf(ll, 0) || math.IsNaN(ll) {
+	_, b, ll := Evaluate(f, ds)
+	if math.IsInf(ll, 0) || math.IsNaN(ll) {
 		t.Fatalf("log loss should be clamped finite, got %v", ll)
 	}
-	if b := Brier(tree, ds); math.Abs(b-2) > 1e-12 {
+	if math.Abs(b-2) > 1e-12 {
 		t.Fatalf("Brier of totally wrong confident prediction = %v, want 2", b)
 	}
 }

@@ -5,9 +5,9 @@ import "udt/internal/data"
 // Accumulator folds streamed batches of predictions into the running
 // evaluation state — hit counts and the weight-weighted confusion matrix —
 // so a test set can flow through the compiled engine in fixed-size chunks
-// without ever being resident as a whole. The one-shot helpers (AccuracyOf,
-// ConfusionOf) are single-batch uses of the same fold, so the streamed and
-// materialised protocols cannot disagree.
+// without ever being resident as a whole. Accuracy, Confusion and the
+// protocols are single-batch uses of the same fold, so the streamed and
+// materialised evaluations cannot disagree.
 type Accumulator struct {
 	confusion [][]float64
 	correct   int

@@ -28,11 +28,19 @@ func streamFixture(n int) (*data.Dataset, []int) {
 }
 
 // TestAccumulatorMatchesWholeSet: folding a set batch-by-batch must agree
-// exactly (bit-for-bit) with the one-shot helpers, for several chunk sizes.
+// exactly (bit-for-bit) with a hand count over the whole set, for several
+// chunk sizes.
 func TestAccumulatorMatchesWholeSet(t *testing.T) {
 	ds, preds := streamFixture(100)
-	wantAcc := AccuracyOf(preds, ds)
-	wantConf := ConfusionOf(ds.Classes, preds, ds)
+	// streamFixture mispredicts every 7th tuple: i = 0, 7, ..., 98.
+	wantAcc := 85.0 / 100
+	wantConf := make([][]float64, len(ds.Classes))
+	for i := range wantConf {
+		wantConf[i] = make([]float64, len(ds.Classes))
+	}
+	for i, tu := range ds.Tuples {
+		wantConf[tu.Class][preds[i]] += tu.Weight
+	}
 	for _, chunk := range []int{1, 7, 32, 100, 1000} {
 		a := NewAccumulator(ds.Classes)
 		for lo := 0; lo < ds.Len(); lo += chunk {

@@ -45,7 +45,7 @@ func TuneWidth(p *data.Points, ws []float64, s int, model data.ErrorModel, cfg c
 		}
 		accs := make([]float64, repeats)
 		for r := range accs {
-			res, err := CrossValidate(ds, folds, cfg, rand.New(rand.NewSource(rng.Int63())))
+			res, err := CrossValidate(ds, folds, Tree(cfg), rand.New(rand.NewSource(rng.Int63())))
 			if err != nil {
 				return 0, nil, err
 			}

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"slices"
 	"time"
 
 	"udt/internal/boost"
-	"udt/internal/core"
 	"udt/internal/data"
 	"udt/internal/eval"
 	"udt/internal/forest"
@@ -79,37 +77,22 @@ func BoostVsBagged(o Options, rounds, trees int) ([]BoostRow, error) {
 			TreeConfig: boost.WeakMemberConfig(treeCfg),
 		}
 
-		row := BoostRow{Dataset: spec.Name, Rounds: rounds}
-		if test != nil {
-			tr, err := eval.TrainTest(train, test, treeCfg)
-			if err != nil {
-				return nil, err
-			}
-			fr, err := eval.ForestTrainTest(train, test, fCfg)
-			if err != nil {
-				return nil, err
-			}
-			br, err := eval.BoostTrainTest(train, test, bCfg)
-			if err != nil {
-				return nil, err
-			}
-			row.TreeAcc, row.BaggedAcc, row.BoostAcc, row.BuildTime = tr.Accuracy, fr.Accuracy, br.Accuracy, br.BuildTime
-		} else {
-			// Identical folds for all three protocols: same rng seed, same
-			// deal order.
-			tr, err := eval.CrossValidate(train, o.Folds, treeCfg, rand.New(rand.NewSource(o.Seed+1)))
-			if err != nil {
-				return nil, err
-			}
-			fr, err := eval.ForestCrossValidate(train, o.Folds, fCfg, rand.New(rand.NewSource(o.Seed+1)))
-			if err != nil {
-				return nil, err
-			}
-			br, err := eval.BoostCrossValidate(train, o.Folds, bCfg, rand.New(rand.NewSource(o.Seed+1)))
-			if err != nil {
-				return nil, err
-			}
-			row.TreeAcc, row.BaggedAcc, row.BoostAcc, row.BuildTime = tr.Accuracy, fr.Accuracy, br.Accuracy, br.BuildTime
+		// Identical folds for all three models: the same seed deals them.
+		tr, err := o.protocol(train, test, o.Seed+1, eval.Tree(treeCfg))
+		if err != nil {
+			return nil, err
+		}
+		fr, err := o.protocol(train, test, o.Seed+1, eval.Bagged(fCfg))
+		if err != nil {
+			return nil, err
+		}
+		br, err := o.protocol(train, test, o.Seed+1, eval.Boosted(bCfg))
+		if err != nil {
+			return nil, err
+		}
+		row := BoostRow{
+			Dataset: spec.Name, Rounds: rounds,
+			TreeAcc: tr.Accuracy, BaggedAcc: fr.Accuracy, BoostAcc: br.Accuracy, BuildTime: br.BuildTime,
 		}
 
 		// Ensemble shape and throughput come from models over the full
@@ -121,16 +104,12 @@ func BoostVsBagged(o Options, rounds, trees int) ([]BoostRow, error) {
 		row.Kept = bst.NumTrees()
 		ws := bst.Weights()
 		row.AlphaRange = [2]float64{slices.Min(ws), slices.Max(ws)}
-		tree, err := core.Build(train, treeCfg)
-		if err != nil {
-			return nil, err
-		}
-		compiled, err := tree.Compile()
+		tree, err := eval.Tree(treeCfg)(train)
 		if err != nil {
 			return nil, err
 		}
 		workers := max(o.Workers, 1)
-		row.TreeTput = throughput(train.Len(), func() { compiled.PredictBatch(train.Tuples, workers) })
+		row.TreeTput = throughput(train.Len(), func() { tree.PredictBatch(train.Tuples, workers) })
 		row.BoostTput = throughput(train.Len(), func() { bst.PredictBatch(train.Tuples, workers) })
 		rows = append(rows, row)
 	}

@@ -15,6 +15,7 @@ import (
 	"udt/internal/core"
 	"udt/internal/data"
 	"udt/internal/eval"
+	"udt/internal/forest"
 	"udt/internal/obs"
 	"udt/internal/split"
 	"udt/internal/uci"
@@ -105,23 +106,24 @@ func loadInjected(spec uci.Spec, o Options, w float64, model data.ErrorModel) (t
 	return train, test, nil
 }
 
-// evaluate runs the spec's protocol (train/test or k-fold CV) for both the
-// AVG baseline and the UDT tree.
+// protocol runs the spec's evaluation protocol for one trainer: train/test
+// when the spec has a test split, else k-fold CV with folds dealt from seed,
+// so every trainer run from the same seed sees identical folds.
+func (o Options) protocol(train, test *data.Dataset, seed int64, fit eval.Trainer) (eval.Result, error) {
+	if test != nil {
+		return eval.TrainTest(train, test, fit)
+	}
+	return eval.CrossValidate(train, o.Folds, fit, rand.New(rand.NewSource(seed)))
+}
+
+// evaluate runs the spec's protocol for both the AVG baseline and the UDT
+// tree.
 func evaluate(train, test *data.Dataset, o Options, strategy split.Strategy) (avg, udt eval.Result, err error) {
 	cfg := o.treeConfig(strategy)
-	if test != nil {
-		if avg, err = eval.TrainTestAveraging(train, test, cfg); err != nil {
-			return
-		}
-		udt, err = eval.TrainTest(train, test, cfg)
+	if avg, err = o.protocol(train, test, o.Seed+1, eval.Averaging(cfg)); err != nil {
 		return
 	}
-	rng := rand.New(rand.NewSource(o.Seed + 1))
-	if avg, err = eval.CrossValidateAveraging(train, o.Folds, cfg, rng); err != nil {
-		return
-	}
-	rng = rand.New(rand.NewSource(o.Seed + 1)) // identical folds for both
-	udt, err = eval.CrossValidate(train, o.Folds, cfg, rng)
+	udt, err = o.protocol(train, test, o.Seed+1, eval.Tree(cfg))
 	return
 }
 
@@ -317,12 +319,7 @@ func NoiseModel(o Options, dataset string, us, ws []float64) ([]NoisePoint, erro
 				return 0, err
 			}
 		}
-		cfg := o.treeConfig(split.ES)
-		if testDS != nil {
-			r, err := eval.TrainTest(trainDS, testDS, cfg)
-			return r.Accuracy, err
-		}
-		r, err := eval.CrossValidate(trainDS, o.Folds, cfg, rand.New(rand.NewSource(o.Seed+7)))
+		r, err := o.protocol(trainDS, testDS, o.Seed+7, eval.Tree(o.treeConfig(split.ES)))
 		return r.Accuracy, err
 	}
 	var points []NoisePoint
@@ -592,11 +589,16 @@ func PointData(o Options, dataset string) ([]PointDataRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		build := time.Since(start)
+		f, err := forest.FromTree(tree)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, PointDataRow{
 			Algorithm:    algo,
-			BuildTime:    time.Since(start),
+			BuildTime:    build,
 			EntropyCalcs: tree.Stats.Search.EntropyCalcs(),
-			Accuracy:     eval.Accuracy(tree, test),
+			Accuracy:     eval.Accuracy(f, test),
 		})
 	}
 	return rows, nil

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
-	"udt/internal/core"
 	"udt/internal/data"
 	"udt/internal/eval"
 	"udt/internal/forest"
@@ -74,28 +72,18 @@ func ForestVsTree(o Options, trees int) ([]ForestRow, error) {
 			TreeConfig: memberCfg,
 		}
 
-		row := ForestRow{Dataset: spec.Name, Trees: trees}
-		if test != nil {
-			tr, err := eval.TrainTest(train, test, treeCfg)
-			if err != nil {
-				return nil, err
-			}
-			fr, err := eval.ForestTrainTest(train, test, fCfg)
-			if err != nil {
-				return nil, err
-			}
-			row.TreeAcc, row.ForestAcc, row.BuildTime = tr.Accuracy, fr.Accuracy, fr.BuildTime
-		} else {
-			tr, err := eval.CrossValidate(train, o.Folds, treeCfg, rand.New(rand.NewSource(o.Seed+1)))
-			if err != nil {
-				return nil, err
-			}
-			// Identical folds: same rng seed, same deal order.
-			fr, err := eval.ForestCrossValidate(train, o.Folds, fCfg, rand.New(rand.NewSource(o.Seed+1)))
-			if err != nil {
-				return nil, err
-			}
-			row.TreeAcc, row.ForestAcc, row.BuildTime = tr.Accuracy, fr.Accuracy, fr.BuildTime
+		// Identical folds for both models: the same seed deals them.
+		tr, err := o.protocol(train, test, o.Seed+1, eval.Tree(treeCfg))
+		if err != nil {
+			return nil, err
+		}
+		fr, err := o.protocol(train, test, o.Seed+1, eval.Bagged(fCfg))
+		if err != nil {
+			return nil, err
+		}
+		row := ForestRow{
+			Dataset: spec.Name, Trees: trees,
+			TreeAcc: tr.Accuracy, ForestAcc: fr.Accuracy, BuildTime: fr.BuildTime,
 		}
 
 		// OOB statistics and throughput come from models over the full
@@ -105,16 +93,12 @@ func ForestVsTree(o Options, trees int) ([]ForestRow, error) {
 			return nil, err
 		}
 		row.OOBAcc, row.OOBBrier = f.OOB.Accuracy, f.OOB.Brier
-		tree, err := core.Build(train, treeCfg)
-		if err != nil {
-			return nil, err
-		}
-		compiled, err := tree.Compile()
+		tree, err := eval.Tree(treeCfg)(train)
 		if err != nil {
 			return nil, err
 		}
 		workers := max(o.Workers, 1)
-		row.TreeTput = throughput(train.Len(), func() { compiled.PredictBatch(train.Tuples, workers) })
+		row.TreeTput = throughput(train.Len(), func() { tree.PredictBatch(train.Tuples, workers) })
 		row.ForestTput = throughput(train.Len(), func() { f.PredictBatch(train.Tuples, workers) })
 		rows = append(rows, row)
 	}

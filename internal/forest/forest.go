@@ -140,7 +140,7 @@ type WeightedTree struct {
 
 // FromTrees assembles a model from already-built trees and their vote
 // weights — the constructor internal/boost uses to package a boosted run as
-// a servable Forest, and the one that wraps a single tree as KindTree. Every
+// a servable Forest, and FromTree's to wrap a single tree as KindTree. Every
 // tree must share the first tree's schema (boosted members always see every
 // attribute, so there are no index maps), every weight must be positive and
 // finite, and the kind's structural rule must hold (see checkKind).
@@ -171,6 +171,13 @@ func FromTrees(members []WeightedTree, kind string) (*Forest, error) {
 	}
 	f.initStaged()
 	return f, nil
+}
+
+// FromTree wraps one built tree as the one-member KindTree model, which
+// classifies, describes and serialises exactly as the tree. It fails only if
+// the tree is nil or does not compile.
+func FromTree(t *core.Tree) (*Forest, error) {
+	return FromTrees([]WeightedTree{{Tree: t, Weight: 1}}, KindTree)
 }
 
 // checkKind enforces the model kind's structural rule, the one place it is

@@ -41,7 +41,10 @@ func TestLoadBinaryAutoDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := asTree(t, tree)
+	tm, err := forest.FromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 
 	treeBin := writeModel(t, tm, dir, "tree.udt")
@@ -110,7 +113,10 @@ func TestTreeSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := asTree(t, tree)
+	tm, err := forest.FromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if src, err := tm.MemberTree(0); err != nil || src != tree {
 		t.Fatalf("JSON MemberTree = (%p, %v), want the original tree", src, err)
 	}
@@ -229,9 +235,13 @@ func TestCloseIdempotentWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm, err := forest.FromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	for name, path := range map[string]string{
-		"tree":   writeModel(t, asTree(t, tree), dir, "tree.udt"),
+		"tree":   writeModel(t, tm, dir, "tree.udt"),
 		"forest": writeModel(t, fr, dir, "forest.udt"),
 	} {
 		t.Run(name, func(t *testing.T) {

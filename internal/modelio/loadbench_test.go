@@ -53,6 +53,10 @@ func loadBenchFiles(tb testing.TB, dir string, trees int) ([]loadBenchCell, *dat
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tm, err := forest.FromTree(tree)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	f, err := forest.Train(ds, forest.Config{Trees: trees, Seed: 3, TreeConfig: core.Config{MinWeight: 2}})
 	if err != nil {
 		tb.Fatal(err)
@@ -82,7 +86,7 @@ func loadBenchFiles(tb testing.TB, dir string, trees int) ([]loadBenchCell, *dat
 	}
 	cells := []loadBenchCell{
 		{"tree", "json", writeJSON("tree.json", tree)},
-		{"tree", "binary", writeBinary("tree.udt", asTree(tb, tree))},
+		{"tree", "binary", writeBinary("tree.udt", tm)},
 		{"forest", "json", writeJSON("forest.json", f)},
 		{"forest", "binary", writeBinary("forest.udt", f)},
 	}

@@ -30,16 +30,6 @@ func twoClassDataset(n int) *data.Dataset {
 	return ds
 }
 
-// asTree wraps a single tree as the one-member forest.KindTree model.
-func asTree(t testing.TB, tree *core.Tree) *forest.Forest {
-	t.Helper()
-	f, err := forest.FromTrees([]forest.WeightedTree{{Tree: tree, Weight: 1}}, forest.KindTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // TestDecodeAutoDetect: the loader must decode single-tree documents as
 // one-member tree forests and forest containers as their ensemble kind,
 // with identical predictions to the source models.

@@ -1,9 +1,10 @@
-// Package par holds the tiny shared primitives of the parallel inference
-// paths: index argmax with the tree's tie-breaking convention and the
-// atomic-cursor block-claim loop that spreads a batch across workers. It is
-// a leaf package (stdlib only) so internal/core, internal/forest and
-// internal/eval can share one copy — previously each carried its own,
-// because the eval→forest import direction blocked sharing via eval.Argmax.
+// Package par holds the tiny shared primitives of the inference paths:
+// index argmax with the tree's tie-breaking convention and the atomic-cursor
+// block-claim loop that spreads a batch across workers. It imports only the
+// standard library, so the inference engines (internal/core,
+// internal/forest) and every consumer of a classification distribution —
+// evaluation, the wire encoder, shadow comparison and the commands — share
+// one copy.
 package par
 
 import (

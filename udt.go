@@ -83,6 +83,10 @@ type (
 	SearchStats = split.Stats
 	// Result aggregates an evaluation run.
 	Result = eval.Result
+	// Trainer fits a model to a training set. The evaluation protocols
+	// (TrainTest, CrossValidate) take one, so every model kind is evaluated
+	// by one code path.
+	Trainer = eval.Trainer
 )
 
 // Dispersion measures (§4.1, §7.4).
@@ -162,43 +166,6 @@ func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) { return forest
 // ensembles, and training is byte-identical at any cfg.Workers value.
 func TrainBoosted(ds *Dataset, cfg BoostConfig) (*Forest, error) { return boost.Train(ds, cfg) }
 
-// BoostTrainTest trains a boosted ensemble on train and evaluates on test.
-func BoostTrainTest(train, test *Dataset, cfg BoostConfig) (Result, error) {
-	return eval.BoostTrainTest(train, test, cfg)
-}
-
-// BoostCrossValidate runs stratified k-fold cross-validation of the boosted
-// ensemble on the same folds CrossValidate and ForestCrossValidate would use
-// for a given rng state.
-func BoostCrossValidate(ds *Dataset, k int, cfg BoostConfig, rng *rand.Rand) (Result, error) {
-	return eval.BoostCrossValidate(ds, k, cfg, rng)
-}
-
-// ForestAccuracy returns the fraction of test tuples the ensemble predicts
-// correctly.
-func ForestAccuracy(f *Forest, test *Dataset) float64 { return eval.ForestAccuracy(f, test) }
-
-// ForestConfusion returns the ensemble's confusion matrix over the test set.
-func ForestConfusion(f *Forest, test *Dataset) [][]float64 { return eval.ForestConfusion(f, test) }
-
-// ForestEvaluate classifies the test set once and returns the confusion
-// matrix, Brier score and log-loss of the averaged distributions.
-func ForestEvaluate(f *Forest, test *Dataset) (conf [][]float64, brier, logLoss float64) {
-	return eval.ForestEvaluate(f, test)
-}
-
-// ForestTrainTest trains an ensemble on train and evaluates on test.
-func ForestTrainTest(train, test *Dataset, cfg ForestConfig) (Result, error) {
-	return eval.ForestTrainTest(train, test, cfg)
-}
-
-// ForestCrossValidate runs stratified k-fold cross-validation of the bagged
-// ensemble, pooling accuracy over the same folds CrossValidate would use
-// for a given rng state.
-func ForestCrossValidate(ds *Dataset, k int, cfg ForestConfig, rng *rand.Rand) (Result, error) {
-	return eval.ForestCrossValidate(ds, k, cfg, rng)
-}
-
 // Inject converts point-valued data into an uncertain dataset by fitting an
 // error model of relative width cfg.W with cfg.S sample points per pdf
 // (§4.3).
@@ -233,20 +200,45 @@ func Reservoir(src RowSource, n int, seed int64) (*Dataset, error) {
 // WriteCSV writes a dataset in the CSV interchange format.
 func WriteCSV(w io.Writer, ds *Dataset) error { return data.WriteCSV(w, ds) }
 
-// Accuracy returns the fraction of test tuples predicted correctly.
-func Accuracy(t *Tree, test *Dataset) float64 { return eval.Accuracy(t, test) }
+// TreeModel wraps a built tree as the one-member Forest that evaluation,
+// serving and the model containers take.
+func TreeModel(t *Tree) (*Forest, error) { return forest.FromTree(t) }
 
-// Confusion returns the confusion matrix over the test set.
-func Confusion(t *Tree, test *Dataset) [][]float64 { return eval.Confusion(t, test) }
+// TreeTrainer trains one Distribution-based (UDT) tree.
+func TreeTrainer(cfg Config) Trainer { return eval.Tree(cfg) }
 
-// TrainTest builds on train and evaluates on test.
-func TrainTest(train, test *Dataset, cfg Config) (Result, error) {
-	return eval.TrainTest(train, test, cfg)
+// AveragingTrainer trains the Averaging (AVG) baseline on the training pdfs'
+// means; test tuples keep their uncertainty.
+func AveragingTrainer(cfg Config) Trainer { return eval.Averaging(cfg) }
+
+// BaggedTrainer trains a bagged ensemble (TrainForest).
+func BaggedTrainer(cfg ForestConfig) Trainer { return eval.Bagged(cfg) }
+
+// BoostedTrainer trains a boosted ensemble (TrainBoosted).
+func BoostedTrainer(cfg BoostConfig) Trainer { return eval.Boosted(cfg) }
+
+// Accuracy returns the fraction of test tuples the model predicts correctly.
+func Accuracy(f *Forest, test *Dataset) float64 { return eval.Accuracy(f, test) }
+
+// Confusion returns the model's confusion matrix over the test set.
+func Confusion(f *Forest, test *Dataset) [][]float64 { return eval.Confusion(f, test) }
+
+// Evaluate classifies the test set once through the compiled engine and
+// returns the confusion matrix, Brier score and log-loss from that single
+// pass (lower is better for both scores).
+func Evaluate(f *Forest, test *Dataset) (conf [][]float64, brier, logLoss float64) {
+	return eval.Evaluate(f, test)
+}
+
+// TrainTest trains a model on train and evaluates it on test.
+func TrainTest(train, test *Dataset, fit Trainer) (Result, error) {
+	return eval.TrainTest(train, test, fit)
 }
 
 // CrossValidate runs stratified k-fold cross-validation (§4.3 protocol).
-func CrossValidate(ds *Dataset, k int, cfg Config, rng *rand.Rand) (Result, error) {
-	return eval.CrossValidate(ds, k, cfg, rng)
+// Trainers run from equal rng states see identical folds.
+func CrossValidate(ds *Dataset, k int, fit Trainer, rng *rand.Rand) (Result, error) {
+	return eval.CrossValidate(ds, k, fit, rng)
 }
 
 // ClassMetrics holds per-class precision, recall and F1.
@@ -262,21 +254,6 @@ func PerClass(classes []string, confusion [][]float64) ([]ClassMetrics, error) {
 
 // MacroF1 averages per-class F1 scores.
 func MacroF1(metrics []ClassMetrics) float64 { return eval.MacroF1(metrics) }
-
-// Brier returns the mean Brier score of the tree's probabilistic
-// classifications over the test set (lower is better).
-func Brier(t *Tree, test *Dataset) float64 { return eval.Brier(t, test) }
-
-// Evaluate classifies the test set once through the compiled engine and
-// returns the confusion matrix, Brier score and log-loss from that single
-// pass.
-func Evaluate(t *Tree, test *Dataset) (conf [][]float64, brier, logLoss float64) {
-	return eval.Evaluate(t, test)
-}
-
-// LogLoss returns the mean negative log-likelihood of the true labels
-// under the tree's probabilistic classifications (lower is better).
-func LogLoss(t *Tree, test *Dataset) float64 { return eval.LogLoss(t, test) }
 
 // TuneWidth estimates a good uncertainty width w per §4.4: repeated
 // cross-validation over candidate widths, returning the midpoint of the

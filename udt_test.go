@@ -36,7 +36,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := udt.Accuracy(tree, ds); acc < 0.95 {
+	model, err := udt.TreeModel(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := udt.Accuracy(model, ds); acc < 0.95 {
 		t.Fatalf("accuracy = %v", acc)
 	}
 	dist := tree.Classify(ds.Tuples[0])
@@ -54,7 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPIAveraging(t *testing.T) {
 	ds := exampleDataset(t, 40)
-	avg, err := udt.BuildAveraging(ds, udt.Config{})
+	avg, err := udt.AveragingTrainer(udt.Config{})(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestPublicAPIAveraging(t *testing.T) {
 
 func TestPublicAPICrossValidate(t *testing.T) {
 	ds := exampleDataset(t, 50)
-	r, err := udt.CrossValidate(ds, 5, udt.Config{Strategy: udt.StrategyGP}, rand.New(rand.NewSource(3)))
+	r, err := udt.CrossValidate(ds, 5, udt.TreeTrainer(udt.Config{Strategy: udt.StrategyGP}), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +84,11 @@ func TestPublicAPICrossValidate(t *testing.T) {
 func TestPublicAPIMeasures(t *testing.T) {
 	ds := exampleDataset(t, 40)
 	for _, m := range []udt.Measure{udt.Entropy, udt.Gini, udt.GainRatio} {
-		tree, err := udt.Build(ds, udt.Config{Measure: m, Strategy: udt.StrategyGP})
+		model, err := udt.TreeTrainer(udt.Config{Measure: m, Strategy: udt.StrategyGP})(ds)
 		if err != nil {
 			t.Fatalf("measure %v: %v", m, err)
 		}
-		if acc := udt.Accuracy(tree, ds); acc < 0.9 {
+		if acc := udt.Accuracy(model, ds); acc < 0.9 {
 			t.Fatalf("measure %v accuracy = %v", m, acc)
 		}
 	}
@@ -148,18 +152,31 @@ func TestPublicAPIPDFHelpers(t *testing.T) {
 	}
 }
 
+// TestPublicAPITrainTestAndConfusion runs the train/test protocol with every
+// model kind's trainer.
 func TestPublicAPITrainTestAndConfusion(t *testing.T) {
 	train := exampleDataset(t, 60)
 	test := exampleDataset(t, 30)
-	r, err := udt.TrainTest(train, test, udt.Config{Strategy: udt.StrategyES})
+	cfg := udt.Config{Strategy: udt.StrategyES}
+	for _, fit := range []udt.Trainer{
+		udt.TreeTrainer(cfg),
+		udt.AveragingTrainer(cfg),
+		udt.BaggedTrainer(udt.ForestConfig{Trees: 5, Seed: 1, TreeConfig: cfg}),
+		udt.BoostedTrainer(udt.BoostConfig{Rounds: 3, TreeConfig: cfg}),
+	} {
+		r, err := udt.TrainTest(train, test, fit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Accuracy < 0.9 {
+			t.Fatalf("accuracy = %v", r.Accuracy)
+		}
+	}
+	model, err := udt.TreeTrainer(udt.Config{})(train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Accuracy < 0.9 {
-		t.Fatalf("accuracy = %v", r.Accuracy)
-	}
-	tree, _ := udt.Build(train, udt.Config{})
-	m := udt.Confusion(tree, test)
+	m := udt.Confusion(model, test)
 	total := 0.0
 	for _, row := range m {
 		for _, v := range row {

@@ -172,7 +172,7 @@ func main() {
 			}
 			experiments.FprintAblation(os.Stdout, rows)
 		case "forest":
-			fmt.Println("== bagged forest vs single tree: accuracy and throughput ==")
+			fmt.Println("== bagged forest vs single tree: accuracy and out-of-bag estimate ==")
 			rows, err := experiments.ForestVsTree(opts, *trees)
 			if err != nil {
 				return err

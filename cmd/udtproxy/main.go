@@ -35,7 +35,9 @@
 //	GET /-/healthz — proxy liveness plus per-backend health.
 //	GET /-/metrics — forward counts, retries, per-backend request/error/
 //	                 latency, health-transition counters; JSON by default,
-//	                 ?format=prometheus for the text exposition.
+//	                 the text exposition for ?format=prometheus or an Accept
+//	                 header that rates text/plain above application/json,
+//	                 as udtserve's /metrics negotiates.
 //
 // Every forwarded response carries the backend's headers verbatim plus
 // X-Backend naming the serving replica; proxy-generated errors use the
@@ -57,7 +59,6 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -229,7 +230,7 @@ func newProxy(rawURLs []string, strategy string) (*proxy, error) {
 func (p *proxy) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /-/healthz", p.mw.Wrap("healthz", &p.mtr.healthzEP, []string{"application/json"}, p.healthz))
-	mux.HandleFunc("GET /-/metrics", p.mw.Wrap("metrics", &p.mtr.metricsEP, []string{"application/json", "text/plain"}, p.metrics))
+	mux.HandleFunc("GET /-/metrics", p.mw.Wrap("metrics", &p.mtr.metricsEP, []string{"application/json", "text/plain"}, obs.MetricsHandler(p.export)))
 	// The catch-all forwards everything else. No content-type gate: the
 	// backend negotiates.
 	mux.HandleFunc("/", p.mw.Wrap("proxy", &p.mtr.proxyEP, nil, p.forward))
@@ -501,78 +502,43 @@ func (p *proxy) healthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (p *proxy) metrics(w http.ResponseWriter, r *http.Request) {
-	switch format := r.URL.Query().Get("format"); format {
-	case "prometheus":
-		w.Header().Set("Content-Type", obs.TextType)
-		if err := obs.WriteText(w, p.promFamilies()); err != nil {
-			fmt.Fprintln(os.Stderr, "udtproxy: write prometheus metrics:", err)
-		}
-		return
-	case "", "json":
-	default:
-		obs.Fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q: want json or prometheus", format))
-		return
-	}
-	bdoc := map[string]any{}
-	for _, b := range p.backends {
-		bdoc[b.url] = map[string]any{
-			"healthy":     b.healthy.Load(),
-			"forwards":    b.metrics.Snapshot(),
-			"transitions": b.transitions.Load(),
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"uptime":   time.Since(p.started).Round(time.Second).String(),
-		"strategy": p.strategy,
-		"backends": bdoc,
-		"proxy": map[string]any{
-			"requests":     p.mtr.proxyEP.Snapshot(),
-			"retries":      p.mtr.retries.Load(),
-			"noBackend":    p.mtr.noBackend.Load(),
-			"healthProbes": p.mtr.healthProbes.Load(),
-		},
-	})
-}
+// export declares every /-/metrics series once, in both dialects: its place
+// in the JSON document and its Prometheus family. Families render in
+// declaration order.
+func (p *proxy) export(x *obs.Export) {
+	version, commit := cliutil.BuildInfo()
+	x.BuildInfo(nil, "", "udtproxy_build_info", version, commit)
+	x.Uptime("udtproxy_uptime_seconds", "Seconds since the proxy started.", p.started)
+	x.Obj()["strategy"] = p.strategy
+	px := x.Obj("proxy")
+	// The forwarding route's latency is reported in JSON only.
+	p.mtr.proxyEP.Declare(px, "requests",
+		x.Counter("udtproxy_requests_total", "Requests accepted for forwarding."),
+		x.Counter("udtproxy_request_errors_total", "Forwarded requests that ended >= 400."), nil)
+	x.Counter("udtproxy_retries_total", "Forwards replayed on another backend after a transport failure.").
+		Value(px, "retries", p.mtr.retries.Load())
+	x.Counter("udtproxy_no_backend_total", "Requests refused because no backend was healthy.").
+		Value(px, "noBackend", p.mtr.noBackend.Load())
+	x.Counter("udtproxy_health_probes_total", "Backend health checks issued.").
+		Value(px, "healthProbes", p.mtr.healthProbes.Load())
 
-// promFamilies renders the proxy counters as Prometheus families.
-func (p *proxy) promFamilies() []obs.Family {
-	reqs := obs.Family{Name: "udtproxy_backend_requests_total", Help: "Forward attempts, by backend.", Type: obs.Counter}
-	errs := obs.Family{Name: "udtproxy_backend_errors_total", Help: "Forward attempts answered >= 400 or failed, by backend.", Type: obs.Counter}
-	lat := obs.Family{Name: "udtproxy_backend_latency_seconds", Help: "Forward latency, by backend.", Type: obs.Histogram}
-	up := obs.Family{Name: "udtproxy_backend_healthy", Help: "1 when the backend's last probe or forward succeeded.", Type: obs.Gauge}
-	trans := obs.Family{Name: "udtproxy_backend_transitions_total", Help: "Health flips observed, by backend.", Type: obs.Counter}
+	reqs := x.Counter("udtproxy_backend_requests_total", "Forward attempts, by backend.")
+	errs := x.Counter("udtproxy_backend_errors_total", "Forward attempts answered >= 400 or failed, by backend.")
+	lat := x.Histogram("udtproxy_backend_latency_seconds", "Forward latency, by backend.")
+	up := x.Gauge("udtproxy_backend_healthy", "1 when the backend's last probe or forward succeeded.")
+	trans := x.Counter("udtproxy_backend_transitions_total", "Health flips observed, by backend.")
 	for _, b := range p.backends {
 		label := obs.Label{Key: "backend", Value: b.url}
-		reqs.Samples = append(reqs.Samples, obs.Sample{Labels: []obs.Label{label}, Value: float64(b.metrics.Requests.Load())})
-		errs.Samples = append(errs.Samples, obs.Sample{Labels: []obs.Label{label}, Value: float64(b.metrics.Errors.Load())})
-		lat.Hists = append(lat.Hists,
-			obs.HistFromLatency(b.metrics.Hist.Snapshot(), float64(b.metrics.Nanos.Load())/1e9, label))
-		h := 0.0
-		if b.healthy.Load() {
+		doc := x.Obj("backends", b.url)
+		b.metrics.Declare(doc, "forwards", reqs, errs, lat, label)
+		// Health is a bool in JSON and a 0/1 gauge in the exposition.
+		healthy := b.healthy.Load()
+		doc["healthy"] = healthy
+		h := int64(0)
+		if healthy {
 			h = 1
 		}
-		up.Samples = append(up.Samples, obs.Sample{Labels: []obs.Label{label}, Value: h})
-		trans.Samples = append(trans.Samples, obs.Sample{Labels: []obs.Label{label}, Value: float64(b.transitions.Load())})
-	}
-	version, commit := cliutil.BuildInfo()
-	single := func(name, help string, t obs.MetricType, v float64) obs.Family {
-		return obs.Family{Name: name, Help: help, Type: t, Samples: []obs.Sample{{Value: v}}}
-	}
-	return []obs.Family{
-		{Name: "udtproxy_build_info", Help: "Build metadata; value is always 1.", Type: obs.Gauge,
-			Samples: []obs.Sample{{Labels: []obs.Label{
-				{Key: "version", Value: version},
-				{Key: "commit", Value: commit},
-				{Key: "goversion", Value: runtime.Version()},
-			}, Value: 1}}},
-		single("udtproxy_uptime_seconds", "Seconds since the proxy started.", obs.Gauge, time.Since(p.started).Seconds()),
-		single("udtproxy_requests_total", "Requests accepted for forwarding.", obs.Counter, float64(p.mtr.proxyEP.Requests.Load())),
-		single("udtproxy_request_errors_total", "Forwarded requests that ended >= 400.", obs.Counter, float64(p.mtr.proxyEP.Errors.Load())),
-		single("udtproxy_retries_total", "Forwards replayed on another backend after a transport failure.", obs.Counter, float64(p.mtr.retries.Load())),
-		single("udtproxy_no_backend_total", "Requests refused because no backend was healthy.", obs.Counter, float64(p.mtr.noBackend.Load())),
-		single("udtproxy_health_probes_total", "Backend health checks issued.", obs.Counter, float64(p.mtr.healthProbes.Load())),
-		reqs, errs, lat, up, trans,
+		up.Value(nil, "", h, label)
+		trans.Value(doc, "transitions", b.transitions.Load(), label)
 	}
 }

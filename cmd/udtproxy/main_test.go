@@ -445,6 +445,48 @@ func TestProxyMetricsScrape(t *testing.T) {
 	}
 }
 
+// TestMetricsNegotiation: /-/metrics negotiates its dialect like udtserve's
+// /metrics. With no ?format=, the text exposition is served exactly when
+// the Accept header rates text/plain above application/json.
+func TestMetricsNegotiation(t *testing.T) {
+	b := echoBackend(t, "solo")
+	ts := httptest.NewServer(mustProxy(t, "roundrobin", b.URL).handler())
+	defer ts.Close()
+	for _, h := range []struct {
+		accept string
+		text   bool
+	}{
+		{"text/plain;version=0.0.4;q=1,*/*;q=0.1", true},
+		{"application/openmetrics-text;version=1.0.0,application/openmetrics-text;version=0.0.1;q=0.75,text/plain;version=0.0.4;q=0.5,*/*;q=0.1", true},
+		{"text/plain", true},
+		{"application/json", false},
+		{"*/*", false},
+		{"", false},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/-/metrics", nil)
+		if h.accept != "" {
+			req.Header.Set("Accept", h.accept)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctype := res.Header.Get("Content-Type")
+		if h.text {
+			if _, perr := obs.ParseText(body); res.StatusCode != http.StatusOK || ctype != obs.TextType || perr != nil {
+				t.Errorf("Accept %q: status %d type %q (%v), want the text exposition", h.accept, res.StatusCode, ctype, perr)
+			}
+		} else if res.StatusCode != http.StatusOK || !strings.HasPrefix(ctype, "application/json") || !json.Valid(body) {
+			t.Errorf("Accept %q: status %d type %q, want JSON", h.accept, res.StatusCode, ctype)
+		}
+	}
+}
+
 // TestNewProxyValidation: malformed configuration is refused up front.
 func TestNewProxyValidation(t *testing.T) {
 	if _, err := newProxy([]string{"http://a:1"}, "random"); err == nil {

@@ -67,10 +67,10 @@
 //	                        info, runtime metrics (heap, GC pauses,
 //	                        goroutines) and trace-span histograms, all plain
 //	                        atomic state. The default view is JSON;
-//	                        ?format=prometheus (or an Accept header that
-//	                        admits text/plain but not application/json)
-//	                        selects the Prometheus text exposition of the
-//	                        same counters.
+//	                        ?format=prometheus, or an Accept header that
+//	                        rates text/plain above application/json (as a
+//	                        Prometheus scraper's does), selects the
+//	                        Prometheus text exposition of the same counters.
 //
 // The legacy routes above serve the registry's default entry. Every model is
 // additionally served under its name:
@@ -293,6 +293,9 @@ type server struct {
 	workers int
 	started time.Time
 	mtr     metrics
+	// routes is the route table (see newRoutes): every endpoint, with its
+	// request/error/latency accounting.
+	routes []*route
 
 	// log is the structured JSON logger shared by the watch poller, the
 	// registry's close-error reporting, and (when tracing) the access log.
@@ -347,7 +350,7 @@ func newServerOpts(opts registry.Options, workers int, earlyExit bool) (*server,
 	if err != nil {
 		return nil, err
 	}
-	return &server{
+	s := &server{
 		reg:                reg,
 		workers:            workers,
 		started:            time.Now(),
@@ -355,7 +358,9 @@ func newServerOpts(opts registry.Options, workers int, earlyExit bool) (*server,
 		streamReadTimeout:  10 * time.Second,
 		streamWriteTimeout: 30 * time.Second,
 		earlyExit:          earlyExit,
-	}, nil
+	}
+	s.routes = s.newRoutes()
+	return s, nil
 }
 
 // watchLoop polls every registry entry's model file identity (mtime + size)
@@ -398,71 +403,80 @@ const (
 // negotiation (obs.TextType carries the full versioned parameters).
 const textType = "text/plain"
 
+// route is one endpoint: its mux pattern, the name its accounting goes
+// under (the endpoint label in /metrics), the content types it produces,
+// its handler and its request/error/latency counters. perModel, when set,
+// picks the counters of the request's registry entry that the route feeds
+// as well.
+type route struct {
+	pattern  string
+	name     string
+	ctypes   []string
+	handler  http.HandlerFunc
+	perModel func(*registry.Metrics) *obs.EndpointMetrics
+	em       obs.EndpointMetrics
+}
+
+// newRoutes is the route table, the one list of udtserve's endpoints. A
+// legacy route and its /v1 twin share a handler, which serves the entry the
+// path names or, on the legacy route, the default entry; each route keeps
+// its own accounting. Table order is the order of the endpoint series in
+// /metrics.
+func (s *server) newRoutes() []*route {
+	classify := func(m *registry.Metrics) *obs.EndpointMetrics { return &m.Classify }
+	stream := func(m *registry.Metrics) *obs.EndpointMetrics { return &m.Stream }
+	js, nd := []string{jsonType}, []string{ndjsonType}
+	return []*route{
+		{pattern: "POST /classify", name: "classify", ctypes: js, handler: s.classify, perModel: classify},
+		{pattern: "POST /classify/stream", name: "classifyStream", ctypes: nd, handler: s.classifyStream, perModel: stream},
+		{pattern: "POST /reload", name: "reload", ctypes: js, handler: s.reload},
+		{pattern: "GET /healthz", name: "healthz", ctypes: js, handler: s.healthz},
+		{pattern: "GET /metrics", name: "metrics", ctypes: []string{jsonType, textType}, handler: obs.MetricsHandler(s.export)},
+		{pattern: "POST /v1/models/{model}/classify", name: "modelClassify", ctypes: js, handler: s.classify, perModel: classify},
+		{pattern: "POST /v1/models/{model}/classify/stream", name: "modelClassifyStream", ctypes: nd, handler: s.classifyStream, perModel: stream},
+		{pattern: "POST /v1/models/{model}/reload", name: "modelReload", ctypes: js, handler: s.reload},
+		{pattern: "GET /v1/models/{model}/healthz", name: "modelHealthz", ctypes: js, handler: s.healthz},
+		{pattern: "DELETE /v1/models/{model}", name: "modelRemove", ctypes: js, handler: s.modelRemove},
+	}
+}
+
 func (s *server) handler() http.Handler {
-	// Per-request model metrics resolvers for WrapModel: the legacy routes
-	// feed the default entry's counters, the /v1 routes the named entry's.
-	// A nil resolution (no default, unknown name) leaves only the endpoint
-	// counters moving; the handler then refuses the request.
-	defEM := func(pick func(*registry.Metrics) *obs.EndpointMetrics) func(*http.Request) *obs.EndpointMetrics {
-		return func(*http.Request) *obs.EndpointMetrics {
-			if e := s.reg.Default(); e != nil {
-				return pick(&e.Metrics)
-			}
-			return nil
-		}
-	}
-	namedEM := func(pick func(*registry.Metrics) *obs.EndpointMetrics) func(*http.Request) *obs.EndpointMetrics {
-		return func(r *http.Request) *obs.EndpointMetrics {
-			if e := s.reg.Get(r.PathValue("model")); e != nil {
-				return pick(&e.Metrics)
-			}
-			return nil
-		}
-	}
-	pickClassify := func(m *registry.Metrics) *obs.EndpointMetrics { return &m.Classify }
-	pickStream := func(m *registry.Metrics) *obs.EndpointMetrics { return &m.Stream }
-
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /classify",
-		s.mw.WrapModel("classify", &s.mtr.classify, defEM(pickClassify), []string{jsonType}, s.classify))
-	mux.HandleFunc("POST /classify/stream",
-		s.mw.WrapModel("classifyStream", &s.mtr.stream, defEM(pickStream), []string{ndjsonType}, s.classifyStream))
-	mux.HandleFunc("POST /reload", s.mw.Wrap("reload", &s.mtr.reload, []string{jsonType}, s.reload))
-	mux.HandleFunc("GET /healthz", s.mw.Wrap("healthz", &s.mtr.healthz, []string{jsonType}, s.healthz))
-	mux.HandleFunc("GET /metrics", s.mw.Wrap("metrics", &s.mtr.metricsEP, []string{jsonType, textType}, s.metricsHandler))
-
-	mux.HandleFunc("POST /v1/models/{model}/classify",
-		s.mw.WrapModel("modelClassify", &s.mtr.modelClassify, namedEM(pickClassify), []string{jsonType}, s.modelClassify))
-	mux.HandleFunc("POST /v1/models/{model}/classify/stream",
-		s.mw.WrapModel("modelClassifyStream", &s.mtr.modelStream, namedEM(pickStream), []string{ndjsonType}, s.modelClassifyStream))
-	mux.HandleFunc("POST /v1/models/{model}/reload",
-		s.mw.Wrap("modelReload", &s.mtr.modelReload, []string{jsonType}, s.modelReload))
-	mux.HandleFunc("GET /v1/models/{model}/healthz",
-		s.mw.Wrap("modelHealthz", &s.mtr.modelHealthz, []string{jsonType}, s.modelHealthz))
-	mux.HandleFunc("DELETE /v1/models/{model}",
-		s.mw.Wrap("modelRemove", &s.mtr.modelRemove, []string{jsonType}, s.modelRemove))
+	for _, rt := range s.routes {
+		// A request whose entry does not resolve (no default, unknown name)
+		// moves only the route's counters; the handler then refuses it.
+		var per func(*http.Request) *obs.EndpointMetrics
+		if pick := rt.perModel; pick != nil {
+			per = func(r *http.Request) *obs.EndpointMetrics {
+				if e := s.entry(r); e != nil {
+					return pick(&e.Metrics)
+				}
+				return nil
+			}
+		}
+		mux.HandleFunc(rt.pattern, s.mw.WrapModel(rt.name, &rt.em, per, rt.ctypes, rt.handler))
+	}
 	return mux
 }
 
-// defaultEntry resolves the legacy routes' backing entry, refusing with 404
-// when the registry has several models and no designated default.
-func (s *server) defaultEntry(w http.ResponseWriter) *registry.Entry {
-	e := s.reg.Default()
-	if e == nil {
-		fail(w, http.StatusNotFound,
-			fmt.Errorf("no default model (serving: %v); use /v1/models/{name}/...", s.reg.Names()))
+// entry resolves the registry entry a request addresses: the one its path
+// names, or the default entry on a legacy route, whose path names none. It
+// returns nil when there is no such entry.
+func (s *server) entry(r *http.Request) *registry.Entry {
+	if name := r.PathValue("model"); name != "" {
+		return s.reg.Get(name)
 	}
-	return e
+	return s.reg.Default()
 }
 
-// namedEntry resolves a /v1/models/{model}/... route's entry.
-func (s *server) namedEntry(w http.ResponseWriter, r *http.Request) *registry.Entry {
-	name := r.PathValue("model")
-	e := s.reg.Get(name)
-	if e == nil {
+// noEntry refuses a request whose entry did not resolve with 404.
+func (s *server) noEntry(w http.ResponseWriter, r *http.Request) {
+	if name := r.PathValue("model"); name != "" {
 		fail(w, http.StatusNotFound, fmt.Errorf("no model %q (serving: %v)", name, s.reg.Names()))
+		return
 	}
-	return e
+	fail(w, http.StatusNotFound,
+		fmt.Errorf("no default model (serving: %v); use /v1/models/{name}/...", s.reg.Names()))
 }
 
 // pprofMux serves net/http/pprof on its own mux for the -pprof listener,
@@ -487,18 +501,11 @@ type resultJSON struct {
 }
 
 func (s *server) classify(w http.ResponseWriter, r *http.Request) {
-	if e := s.defaultEntry(w); e != nil {
-		s.classifyEntry(e, w, r)
+	e := s.entry(r)
+	if e == nil {
+		s.noEntry(w, r)
+		return
 	}
-}
-
-func (s *server) modelClassify(w http.ResponseWriter, r *http.Request) {
-	if e := s.namedEntry(w, r); e != nil {
-		s.classifyEntry(e, w, r)
-	}
-}
-
-func (s *server) classifyEntry(e *registry.Entry, w http.ResponseWriter, r *http.Request) {
 	// tr is nil for unsampled requests; every Trace method accepts that, so
 	// the span calls below cost one nil check each when tracing is off.
 	tr := obs.TraceFrom(r.Context())
@@ -591,20 +598,8 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // beyond 1 MiB is malformed, not big.
 const maxStreamLine = 1 << 20
 
-func (s *server) classifyStream(w http.ResponseWriter, r *http.Request) {
-	if e := s.defaultEntry(w); e != nil {
-		s.classifyStreamEntry(e, w, r)
-	}
-}
-
-func (s *server) modelClassifyStream(w http.ResponseWriter, r *http.Request) {
-	if e := s.namedEntry(w, r); e != nil {
-		s.classifyStreamEntry(e, w, r)
-	}
-}
-
-// classifyStreamEntry handles a classify/stream request against one entry:
-// each request line is one tuple document, each response line one result
+// classifyStream handles a classify/stream request against one entry: each
+// request line is one tuple document, each response line one result
 // object, decoded, classified and flushed as it arrives — the whole stream
 // is never resident, so body size is unbounded (per line, maxStreamLine
 // applies). A malformed line produces an error object on its line and the
@@ -617,7 +612,12 @@ func (s *server) modelClassifyStream(w http.ResponseWriter, r *http.Request) {
 // pool against stream floods of any shape, then the entry's MaxStreams
 // budget guards one model's share — both refuse with 503 + Retry-After
 // instead of queueing.
-func (s *server) classifyStreamEntry(e *registry.Entry, w http.ResponseWriter, r *http.Request) {
+func (s *server) classifyStream(w http.ResponseWriter, r *http.Request) {
+	e := s.entry(r)
+	if e == nil {
+		s.noEntry(w, r)
+		return
+	}
 	// The active gauges count every stream, capped or not, so /metrics
 	// reports stream load even in the default unlimited configuration.
 	n := s.activeStreams.Add(1)
@@ -719,20 +719,13 @@ func (s *server) classifyStreamEntry(e *registry.Entry, w http.ResponseWriter, r
 	}
 }
 
+// reload serves POST reload over the entry's serialised reload path.
 func (s *server) reload(w http.ResponseWriter, r *http.Request) {
-	if e := s.defaultEntry(w); e != nil {
-		s.reloadEntry(e, w)
+	e := s.entry(r)
+	if e == nil {
+		s.noEntry(w, r)
+		return
 	}
-}
-
-func (s *server) modelReload(w http.ResponseWriter, r *http.Request) {
-	if e := s.namedEntry(w, r); e != nil {
-		s.reloadEntry(e, w)
-	}
-}
-
-// reloadEntry serves POST reload over the entry's serialised reload path.
-func (s *server) reloadEntry(e *registry.Entry, w http.ResponseWriter) {
 	am, err := e.Reload()
 	if err != nil {
 		fail(w, http.StatusInternalServerError, fmt.Errorf("reload: %w", err))
@@ -761,9 +754,13 @@ func (s *server) modelRemove(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
+	e := s.entry(r)
+	if e == nil && r.PathValue("model") != "" {
+		s.noEntry(w, r)
+		return
+	}
 	// Legacy healthz keeps working with no default entry: liveness plus the
 	// registry's model names, without per-model fields.
-	e := s.reg.Default()
 	if e == nil {
 		version, commit := cliutil.BuildInfo()
 		reply(w, map[string]any{
@@ -776,16 +773,6 @@ func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.healthzEntry(e, w)
-}
-
-func (s *server) modelHealthz(w http.ResponseWriter, r *http.Request) {
-	if e := s.namedEntry(w, r); e != nil {
-		s.healthzEntry(e, w)
-	}
-}
-
-func (s *server) healthzEntry(e *registry.Entry, w http.ResponseWriter) {
 	am := e.Acquire()
 	if am == nil {
 		fail(w, http.StatusNotFound, fmt.Errorf("model %q evicted", e.Name))
@@ -843,22 +830,10 @@ func (s *server) healthzEntry(e *registry.Entry, w http.ResponseWriter) {
 // 1, 2, 3-4, 5-8, ..., the last bucket collecting everything beyond 2^13.
 const batchBuckets = 15
 
+// metrics holds the server-wide counters the handlers bump; the endpoint
+// accounting lives on the route table and the per-model accounting on each
+// registry entry.
 type metrics struct {
-	classify  obs.EndpointMetrics
-	stream    obs.EndpointMetrics
-	reload    obs.EndpointMetrics
-	healthz   obs.EndpointMetrics
-	metricsEP obs.EndpointMetrics
-
-	// The /v1/models/{model}/... routes' endpoint dimension; the per-model
-	// dimension lives on each registry entry and is fed by the same
-	// middleware observation (obs.Middleware.WrapModel).
-	modelClassify obs.EndpointMetrics
-	modelStream   obs.EndpointMetrics
-	modelReload   obs.EndpointMetrics
-	modelHealthz  obs.EndpointMetrics
-	modelRemove   obs.EndpointMetrics
-
 	tuples atomic.Int64
 	// batchTuples counts only the tuples recorded by observeBatch (tuples
 	// minus the stream endpoint's), so it is the exact sum of the batch-size
@@ -915,248 +890,137 @@ func bucketLabel(b int) string {
 	return fmt.Sprintf("%d-%d", lo, hi)
 }
 
-// defaultGeneration reports the default entry's generation, 0 when the
-// registry has no default (the legacy udt_model_generation series and JSON
-// field keep existing either way).
-func (s *server) defaultGeneration() int64 {
-	if e := s.reg.Default(); e != nil {
-		return e.Generation()
-	}
-	return 0
-}
-
-func (s *server) metricsHandler(w http.ResponseWriter, r *http.Request) {
-	switch format := r.URL.Query().Get("format"); format {
-	case "prometheus":
-		s.promMetrics(w)
-		return
-	case "json":
-	case "":
-		// No explicit format: a client whose Accept header admits text/plain
-		// but not application/json (a Prometheus scraper) gets the text
-		// exposition; everyone else gets JSON. Wrap has already refused
-		// clients that accept neither with 406.
-		accept := r.Header.Values("Accept")
-		if !obs.Accepts(accept, jsonType) && obs.Accepts(accept, textType) {
-			s.promMetrics(w)
-			return
-		}
-	default:
-		fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q: want json or prometheus", format))
-		return
-	}
-	hist := map[string]int64{}
-	for b := range s.mtr.batch {
-		if n := s.mtr.batch[b].Load(); n > 0 {
-			hist[bucketLabel(b)] = n
-		}
-	}
-	modelsDoc := map[string]any{}
-	for _, e := range s.reg.Entries() {
-		doc := map[string]any{
-			"generation":     e.Generation(),
-			"tuples":         e.Metrics.Tuples.Load(),
-			"classify":       e.Metrics.Classify.Snapshot(),
-			"classifyStream": e.Metrics.Stream.Snapshot(),
-			"streams": map[string]int64{
-				"active":   e.ActiveStreams.Load(),
-				"rejected": e.Metrics.StreamRejected.Load(),
-				"budget":   int64(e.MaxStreams),
-			},
-		}
-		if e.ShadowPath != "" {
-			doc["shadow"] = map[string]any{
-				"path":             e.ShadowPath,
-				"comparisons":      e.Metrics.ShadowComparisons.Load(),
-				"argmaxDivergence": e.Metrics.ShadowArgmaxDivergence.Load(),
-				"distDivergence":   e.Metrics.ShadowDistDivergence.Load(),
-			}
-		}
-		modelsDoc[e.Name] = doc
-	}
+// export declares every /metrics series once, in both dialects: its place
+// in the JSON document and its Prometheus family. Families render in
+// declaration order; their names and labels are scrape-target API, pinned
+// by testdata/prom_families.golden (renaming one breaks dashboards).
+func (s *server) export(x *obs.Export) {
+	root := x.Obj()
 	version, commit := cliutil.BuildInfo()
-	reply(w, map[string]any{
-		"uptime":           time.Since(s.started).Round(time.Second).String(),
-		"generation":       s.defaultGeneration(),
-		"tuplesClassified": s.mtr.tuples.Load(),
-		"batchSizes":       hist,
-		"build": map[string]string{
-			"version":   version,
-			"commit":    commit,
-			"goVersion": runtime.Version(),
-		},
-		"runtime": s.rt.Snapshot(),
-		"trace":   s.mw.Snapshot(),
-		"stream": map[string]int64{
-			"lines":      s.mtr.streamLines.Load(),
-			"lineErrors": s.mtr.streamLineErrors.Load(),
-			"active":     s.activeStreams.Load(),
-			"rejected":   s.mtr.streamRejected.Load(),
-		},
-		"watch": map[string]int64{
-			"reloads": s.mtr.watchReloads.Load(),
-			"errors":  s.mtr.watchErrors.Load(),
-		},
-		"earlyExit": map[string]any{
-			"enabled":          s.earlyExit,
-			"predictions":      s.mtr.earlyExitPredictions.Load(),
-			"membersEvaluated": s.mtr.earlyExitMembers.Load(),
-		},
-		"registry": map[string]any{
-			"models":  s.reg.Len(),
-			"default": s.reg.DefaultName(),
-		},
-		"models": modelsDoc,
-		"endpoints": map[string]any{
-			"classify":            s.mtr.classify.Snapshot(),
-			"classifyStream":      s.mtr.stream.Snapshot(),
-			"reload":              s.mtr.reload.Snapshot(),
-			"healthz":             s.mtr.healthz.Snapshot(),
-			"metrics":             s.mtr.metricsEP.Snapshot(),
-			"modelClassify":       s.mtr.modelClassify.Snapshot(),
-			"modelClassifyStream": s.mtr.modelStream.Snapshot(),
-			"modelReload":         s.mtr.modelReload.Snapshot(),
-			"modelHealthz":        s.mtr.modelHealthz.Snapshot(),
-			"modelRemove":         s.mtr.modelRemove.Snapshot(),
-		},
-	})
-}
-
-// promMetrics writes the Prometheus text exposition of the same counters the
-// JSON view reports (tested counter-for-counter against it).
-func (s *server) promMetrics(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", obs.TextType)
-	if err := obs.WriteText(w, s.promFamilies()); err != nil {
-		fmt.Fprintln(os.Stderr, "udtserve: write prometheus metrics:", err)
+	x.BuildInfo(root, "build", "udt_build_info", version, commit)
+	x.Uptime("udt_uptime_seconds", "Seconds since the server started.", s.started)
+	// 0 when the registry has no default; the series exists either way.
+	var gen int64
+	if e := s.reg.Default(); e != nil {
+		gen = e.Generation()
 	}
-}
+	x.Gauge("udt_model_generation", "Default model generation (1 at startup, +1 per reload).").
+		Value(root, "generation", gen)
 
-// counterFam builds a single-series unlabelled family.
-func counterFam(name, help string, t obs.MetricType, v float64) obs.Family {
-	return obs.Family{Name: name, Help: help, Type: t, Samples: []obs.Sample{{Value: v}}}
-}
-
-// promFamilies renders every /metrics counter as a Prometheus family. Series
-// names and label sets are pinned by the golden fixture in testdata — they
-// are scrape-target API, renaming one breaks dashboards.
-func (s *server) promFamilies() []obs.Family {
-	endpoints := []struct {
-		name string
-		em   *obs.EndpointMetrics
-	}{
-		{"classify", &s.mtr.classify},
-		{"classifyStream", &s.mtr.stream},
-		{"reload", &s.mtr.reload},
-		{"healthz", &s.mtr.healthz},
-		{"metrics", &s.mtr.metricsEP},
-		{"modelClassify", &s.mtr.modelClassify},
-		{"modelClassifyStream", &s.mtr.modelStream},
-		{"modelReload", &s.mtr.modelReload},
-		{"modelHealthz", &s.mtr.modelHealthz},
-		{"modelRemove", &s.mtr.modelRemove},
-	}
-	reqs := obs.Family{Name: "udt_requests_total", Help: "Requests served, by endpoint.", Type: obs.Counter}
-	errs := obs.Family{Name: "udt_request_errors_total", Help: "Responses with status >= 400, by endpoint.", Type: obs.Counter}
-	lat := obs.Family{Name: "udt_request_latency_seconds", Help: "Handler latency, by endpoint.", Type: obs.Histogram}
-	for _, ep := range endpoints {
-		label := obs.Label{Key: "endpoint", Value: ep.name}
-		reqs.Samples = append(reqs.Samples, obs.Sample{Labels: []obs.Label{label}, Value: float64(ep.em.Requests.Load())})
-		errs.Samples = append(errs.Samples, obs.Sample{Labels: []obs.Label{label}, Value: float64(ep.em.Errors.Load())})
-		lat.Hists = append(lat.Hists,
-			obs.HistFromLatency(ep.em.Hist.Snapshot(), float64(ep.em.Nanos.Load())/1e9, label))
+	reqs := x.Counter("udt_requests_total", "Requests served, by endpoint.")
+	errs := x.Counter("udt_request_errors_total", "Responses with status >= 400, by endpoint.")
+	lat := x.Histogram("udt_request_latency_seconds", "Handler latency, by endpoint.")
+	for _, rt := range s.routes {
+		rt.em.Declare(x.Obj("endpoints"), rt.name, reqs, errs, lat, obs.Label{Key: "endpoint", Value: rt.name})
 	}
 
-	// Per-model families: the second accounting dimension, one series per
-	// registry entry (x endpoint for the middleware-fed request metrics).
-	mreqs := obs.Family{Name: "udt_model_requests_total", Help: "Requests served, by model and endpoint.", Type: obs.Counter}
-	merrs := obs.Family{Name: "udt_model_request_errors_total", Help: "Responses with status >= 400, by model and endpoint.", Type: obs.Counter}
-	mlat := obs.Family{Name: "udt_model_request_latency_seconds", Help: "Handler latency, by model and endpoint.", Type: obs.Histogram}
-	mtuples := obs.Family{Name: "udt_model_tuples_total", Help: "Tuples classified, by model.", Type: obs.Counter}
-	mgen := obs.Family{Name: "udt_registry_generation", Help: "Model generation, by model (1 at load, +1 per reload).", Type: obs.Gauge}
-	mstrAct := obs.Family{Name: "udt_model_streams_active", Help: "Currently open streams, by model.", Type: obs.Gauge}
-	mstrRej := obs.Family{Name: "udt_model_streams_rejected_total", Help: "Streams refused by the model's stream budget.", Type: obs.Counter}
-	mshCmp := obs.Family{Name: "udt_model_shadow_comparisons_total", Help: "Tuples mirrored to the model's shadow generation.", Type: obs.Counter}
-	mshArg := obs.Family{Name: "udt_model_shadow_argmax_divergence_total", Help: "Mirrored tuples whose predicted class diverged.", Type: obs.Counter}
-	mshDist := obs.Family{Name: "udt_model_shadow_dist_divergence_total", Help: "Mirrored tuples whose distribution diverged.", Type: obs.Counter}
-	for _, e := range s.reg.Entries() {
-		mlabel := obs.Label{Key: "model", Value: e.Name}
-		for _, dim := range []struct {
-			endpoint string
-			em       *obs.EndpointMetrics
-		}{
-			{"classify", &e.Metrics.Classify},
-			{"classifyStream", &e.Metrics.Stream},
-		} {
-			labels := []obs.Label{mlabel, {Key: "endpoint", Value: dim.endpoint}}
-			mreqs.Samples = append(mreqs.Samples, obs.Sample{Labels: labels, Value: float64(dim.em.Requests.Load())})
-			merrs.Samples = append(merrs.Samples, obs.Sample{Labels: labels, Value: float64(dim.em.Errors.Load())})
-			mlat.Hists = append(mlat.Hists,
-				obs.HistFromLatency(dim.em.Hist.Snapshot(), float64(dim.em.Nanos.Load())/1e9, labels...))
-		}
-		mtuples.Samples = append(mtuples.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.Metrics.Tuples.Load())})
-		mgen.Samples = append(mgen.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.Generation())})
-		mstrAct.Samples = append(mstrAct.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.ActiveStreams.Load())})
-		mstrRej.Samples = append(mstrRej.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.Metrics.StreamRejected.Load())})
-		mshCmp.Samples = append(mshCmp.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.Metrics.ShadowComparisons.Load())})
-		mshArg.Samples = append(mshArg.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.Metrics.ShadowArgmaxDivergence.Load())})
-		mshDist.Samples = append(mshDist.Samples, obs.Sample{Labels: []obs.Label{mlabel}, Value: float64(e.Metrics.ShadowDistDivergence.Load())})
-	}
-
-	// Batch-size histogram: bucket b of the power-of-two array becomes the
-	// bucket with upper bound 2^b tuples, the last array slot the overflow.
+	x.Counter("udt_tuples_classified_total", "Tuples classified across /classify and /classify/stream.").
+		Value(root, "tuplesClassified", s.mtr.tuples.Load())
+	// Batch sizes: JSON counts the non-empty buckets by tuple range; the
+	// exposition's bucket b has upper bound 2^b tuples, the last array slot
+	// being the overflow.
+	sizes := map[string]int64{}
 	batch := obs.Hist{
 		UpperBounds: make([]float64, batchBuckets-1),
 		Counts:      make([]int64, batchBuckets),
 		Sum:         float64(s.mtr.batchTuples.Load()),
 	}
-	for b := 0; b < batchBuckets-1; b++ {
-		batch.UpperBounds[b] = float64(int64(1) << b)
-	}
 	for b := range s.mtr.batch {
-		batch.Counts[b] = s.mtr.batch[b].Load()
+		if b < batchBuckets-1 {
+			batch.UpperBounds[b] = float64(int64(1) << b)
+		}
+		if batch.Counts[b] = s.mtr.batch[b].Load(); batch.Counts[b] > 0 {
+			sizes[bucketLabel(b)] = batch.Counts[b]
+		}
+	}
+	x.Histogram("udt_batch_size", "Tuples per /classify request.").Hist(root, "batchSizes", sizes, batch)
+
+	stream := x.Obj("stream")
+	x.Counter("udt_stream_lines_total", "NDJSON stream lines answered (results plus errors).").
+		Value(stream, "lines", s.mtr.streamLines.Load())
+	x.Counter("udt_stream_line_errors_total", "NDJSON stream lines answered with an error object.").
+		Value(stream, "lineErrors", s.mtr.streamLineErrors.Load())
+	x.Counter("udt_streams_rejected_total", "Streams refused by -max-streams admission control.").
+		Value(stream, "rejected", s.mtr.streamRejected.Load())
+	x.Gauge("udt_streams_active", "Currently open /classify/stream requests.").
+		Value(stream, "active", s.activeStreams.Load())
+	watch := x.Obj("watch")
+	x.Counter("udt_watch_reloads_total", "Successful -watch hot reloads.").
+		Value(watch, "reloads", s.mtr.watchReloads.Load())
+	x.Counter("udt_watch_errors_total", "Failed -watch reload attempts.").
+		Value(watch, "errors", s.mtr.watchErrors.Load())
+	early := x.Obj("earlyExit")
+	early["enabled"] = s.earlyExit
+	x.Counter("udt_early_exit_predictions_total", "Predictions served in -early-exit mode.").
+		Value(early, "predictions", s.mtr.earlyExitPredictions.Load())
+	x.Counter("udt_early_exit_members_total", "Ensemble members evaluated across early-exit predictions.").
+		Value(early, "membersEvaluated", s.mtr.earlyExitMembers.Load())
+	reg := x.Obj("registry")
+	reg["default"] = s.reg.DefaultName()
+	x.Gauge("udt_registry_models", "Models currently served by the registry.").
+		Value(reg, "models", int64(s.reg.Len()))
+
+	// Per-model families: the second accounting dimension, one series per
+	// registry entry (x endpoint for the middleware-fed request metrics).
+	// Declared ahead of the entries, so an emptied registry still lists
+	// them, and "models" is an empty object then.
+	mreqs := x.Counter("udt_model_requests_total", "Requests served, by model and endpoint.")
+	merrs := x.Counter("udt_model_request_errors_total", "Responses with status >= 400, by model and endpoint.")
+	mlat := x.Histogram("udt_model_request_latency_seconds", "Handler latency, by model and endpoint.")
+	mtuples := x.Counter("udt_model_tuples_total", "Tuples classified, by model.")
+	mgen := x.Gauge("udt_registry_generation", "Model generation, by model (1 at load, +1 per reload).")
+	mstrAct := x.Gauge("udt_model_streams_active", "Currently open streams, by model.")
+	mstrRej := x.Counter("udt_model_streams_rejected_total", "Streams refused by the model's stream budget.")
+	mshCmp := x.Counter("udt_model_shadow_comparisons_total", "Tuples mirrored to the model's shadow generation.")
+	mshArg := x.Counter("udt_model_shadow_argmax_divergence_total", "Mirrored tuples whose predicted class diverged.")
+	mshDist := x.Counter("udt_model_shadow_dist_divergence_total", "Mirrored tuples whose distribution diverged.")
+	x.Obj("models")
+	for _, e := range s.reg.Entries() {
+		ml := obs.Label{Key: "model", Value: e.Name}
+		doc := x.Obj("models", e.Name)
+		e.Metrics.Classify.Declare(doc, "classify", mreqs, merrs, mlat, ml, obs.Label{Key: "endpoint", Value: "classify"})
+		e.Metrics.Stream.Declare(doc, "classifyStream", mreqs, merrs, mlat, ml, obs.Label{Key: "endpoint", Value: "classifyStream"})
+		mtuples.Value(doc, "tuples", e.Metrics.Tuples.Load(), ml)
+		mgen.Value(doc, "generation", e.Generation(), ml)
+		streams := x.Obj("models", e.Name, "streams")
+		mstrAct.Value(streams, "active", e.ActiveStreams.Load(), ml)
+		mstrRej.Value(streams, "rejected", e.Metrics.StreamRejected.Load(), ml)
+		streams["budget"] = int64(e.MaxStreams)
+		// A model without a shadow reports its (zero) shadow series to
+		// Prometheus only; JSON has no shadow object for it.
+		var shadow map[string]any
+		if e.ShadowPath != "" {
+			shadow = x.Obj("models", e.Name, "shadow")
+			shadow["path"] = e.ShadowPath
+		}
+		mshCmp.Value(shadow, "comparisons", e.Metrics.ShadowComparisons.Load(), ml)
+		mshArg.Value(shadow, "argmaxDivergence", e.Metrics.ShadowArgmaxDivergence.Load(), ml)
+		mshDist.Value(shadow, "distDivergence", e.Metrics.ShadowDistDivergence.Load(), ml)
 	}
 
-	spans := obs.Family{Name: "udt_trace_span_latency_seconds", Help: "Per-span latency of sampled requests.", Type: obs.Histogram}
+	trace := x.Obj("trace")
+	trace["sampleEvery"] = s.mw.SampleEvery
+	x.Counter("udt_trace_sampled_total", "Requests traced by -trace-sample.").
+		Value(trace, "sampled", s.mw.Sampled())
+	spans := x.Histogram("udt_trace_span_latency_seconds", "Per-span latency of sampled requests.")
 	for k := obs.SpanKind(0); k < obs.NumSpans; k++ {
-		spans.Hists = append(spans.Hists, obs.HistFromLatency(
-			s.mw.SpanSnapshot(k), float64(s.mw.SpanTotalNanos(k))/1e9,
-			obs.Label{Key: "span", Value: k.String()}))
+		doc := x.Obj("trace", "spans", k.String())
+		ns := s.mw.SpanTotalNanos(k)
+		doc["totalMicros"] = ns / 1e3
+		snap := s.mw.SpanSnapshot(k)
+		spans.Hist(doc, "latency", snap, obs.HistFromLatency(snap, float64(ns)/1e9, obs.Label{Key: "span", Value: k.String()}))
 	}
 
-	version, commit := cliutil.BuildInfo()
 	rt := s.rt.Snapshot()
-	return []obs.Family{
-		{Name: "udt_build_info", Help: "Build metadata; value is always 1.", Type: obs.Gauge,
-			Samples: []obs.Sample{{Labels: []obs.Label{
-				{Key: "version", Value: version},
-				{Key: "commit", Value: commit},
-				{Key: "goversion", Value: runtime.Version()},
-			}, Value: 1}}},
-		counterFam("udt_uptime_seconds", "Seconds since the server started.", obs.Gauge, time.Since(s.started).Seconds()),
-		counterFam("udt_model_generation", "Default model generation (1 at startup, +1 per reload).", obs.Gauge, float64(s.defaultGeneration())),
-		reqs, errs, lat,
-		counterFam("udt_tuples_classified_total", "Tuples classified across /classify and /classify/stream.", obs.Counter, float64(s.mtr.tuples.Load())),
-		{Name: "udt_batch_size", Help: "Tuples per /classify request.", Type: obs.Histogram, Hists: []obs.Hist{batch}},
-		counterFam("udt_stream_lines_total", "NDJSON stream lines answered (results plus errors).", obs.Counter, float64(s.mtr.streamLines.Load())),
-		counterFam("udt_stream_line_errors_total", "NDJSON stream lines answered with an error object.", obs.Counter, float64(s.mtr.streamLineErrors.Load())),
-		counterFam("udt_streams_rejected_total", "Streams refused by -max-streams admission control.", obs.Counter, float64(s.mtr.streamRejected.Load())),
-		counterFam("udt_streams_active", "Currently open /classify/stream requests.", obs.Gauge, float64(s.activeStreams.Load())),
-		counterFam("udt_watch_reloads_total", "Successful -watch hot reloads.", obs.Counter, float64(s.mtr.watchReloads.Load())),
-		counterFam("udt_watch_errors_total", "Failed -watch reload attempts.", obs.Counter, float64(s.mtr.watchErrors.Load())),
-		counterFam("udt_early_exit_predictions_total", "Predictions served in -early-exit mode.", obs.Counter, float64(s.mtr.earlyExitPredictions.Load())),
-		counterFam("udt_early_exit_members_total", "Ensemble members evaluated across early-exit predictions.", obs.Counter, float64(s.mtr.earlyExitMembers.Load())),
-		counterFam("udt_registry_models", "Models currently served by the registry.", obs.Gauge, float64(s.reg.Len())),
-		mreqs, merrs, mlat, mtuples, mgen, mstrAct, mstrRej, mshCmp, mshArg, mshDist,
-		counterFam("udt_trace_sampled_total", "Requests traced by -trace-sample.", obs.Counter, float64(s.mw.Sampled())),
-		spans,
-		counterFam("udt_go_goroutines", "Live goroutines.", obs.Gauge, float64(rt.Goroutines)),
-		counterFam("udt_go_heap_alloc_bytes", "Bytes of allocated heap objects.", obs.Gauge, float64(rt.HeapAllocBytes)),
-		counterFam("udt_go_heap_sys_bytes", "Heap memory obtained from the OS.", obs.Gauge, float64(rt.HeapSysBytes)),
-		counterFam("udt_go_heap_objects", "Live heap objects.", obs.Gauge, float64(rt.HeapObjects)),
-		counterFam("udt_go_gc_cycles_total", "Completed GC cycles.", obs.Counter, float64(rt.GCCycles)),
-		{Name: "udt_go_gc_pause_seconds", Help: "Stop-the-world GC pause durations.", Type: obs.Histogram,
-			Hists: []obs.Hist{obs.HistFromLatency(rt.GCPauses, float64(rt.GCPauseTotalMicros)/1e6)}},
-	}
+	run := x.Obj("runtime")
+	x.Gauge("udt_go_goroutines", "Live goroutines.").Value(run, "goroutines", int64(rt.Goroutines))
+	x.Gauge("udt_go_heap_alloc_bytes", "Bytes of allocated heap objects.").Value(run, "heapAllocBytes", int64(rt.HeapAllocBytes))
+	x.Gauge("udt_go_heap_sys_bytes", "Heap memory obtained from the OS.").Value(run, "heapSysBytes", int64(rt.HeapSysBytes))
+	x.Gauge("udt_go_heap_objects", "Live heap objects.").Value(run, "heapObjects", int64(rt.HeapObjects))
+	x.Counter("udt_go_gc_cycles_total", "Completed GC cycles.").Value(run, "gcCycles", rt.GCCycles)
+	run["gcPauseTotalMicros"] = rt.GCPauseTotalMicros
+	x.Histogram("udt_go_gc_pause_seconds", "Stop-the-world GC pause durations.").
+		Hist(run, "gcPauses", rt.GCPauses, obs.HistFromLatency(rt.GCPauses, float64(rt.GCPauseTotalMicros)/1e6))
 }
 
 func reply(w http.ResponseWriter, v any) {

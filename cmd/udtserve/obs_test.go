@@ -22,10 +22,10 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
-// TestInstrumentRoutes pins the invariant behind the middleware refactor:
-// every route — not just the ones the old hand-rolled instrument wrapper
-// covered — gets identical request/error/latency accounting and Accept
-// enforcement.
+// TestInstrumentRoutes pins the invariant behind the middleware and the
+// route table: every route gets identical request/error/latency accounting
+// on its own counters, and Accept enforcement. It walks the table itself,
+// so a route added to the table is covered here without edits.
 func TestInstrumentRoutes(t *testing.T) {
 	s, err := newServer(trainModel(t), 1)
 	if err != nil {
@@ -34,26 +34,12 @@ func TestInstrumentRoutes(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	routes := []struct {
-		name         string
-		em           *obs.EndpointMetrics
-		method, path string
-		body         string
-	}{
-		{"classify", &s.mtr.classify, http.MethodPost, "/classify", `{"num": [0.2, [1, 2, 3]]}`},
-		{"classifyStream", &s.mtr.stream, http.MethodPost, "/classify/stream", `{"num": [0.2, [1, 2, 3]]}` + "\n"},
-		{"reload", &s.mtr.reload, http.MethodPost, "/reload", ""},
-		{"healthz", &s.mtr.healthz, http.MethodGet, "/healthz", ""},
-		{"metrics", &s.mtr.metricsEP, http.MethodGet, "/metrics", ""},
+	if len(s.routes) != 10 {
+		t.Fatalf("route table holds %d routes, want 10", len(s.routes))
 	}
-	do := func(rt struct {
-		name         string
-		em           *obs.EndpointMetrics
-		method, path string
-		body         string
-	}, accept string) *http.Response {
+	do := func(method, path, body, accept string) *http.Response {
 		t.Helper()
-		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(rt.body))
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,13 +55,27 @@ func TestInstrumentRoutes(t *testing.T) {
 		return res
 	}
 
-	for _, rt := range routes {
-		if res := do(rt, ""); res.StatusCode != http.StatusOK {
+	const tuple = `{"num": [0.2, [1, 2, 3]]}`
+	for i, rt := range s.routes {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		path = strings.Replace(path, "{model}", "default", 1)
+		// Evicting the one model must come last: every other route needs it.
+		if method == http.MethodDelete && i != len(s.routes)-1 {
+			t.Fatalf("%s: the eviction route must be the table's last", rt.name)
+		}
+		body := ""
+		switch {
+		case strings.HasSuffix(path, "/classify"):
+			body = tuple
+		case strings.HasSuffix(path, "/classify/stream"):
+			body = tuple + "\n"
+		}
+		if res := do(method, path, body, ""); res.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, want 200", rt.name, res.StatusCode)
 		}
 		// No route serves text/csv; the shared middleware refuses it before
 		// the handler runs and counts the refusal as an error.
-		res := do(rt, "text/csv")
+		res := do(method, path, body, "text/csv")
 		if res.StatusCode != http.StatusNotAcceptable {
 			t.Fatalf("%s with Accept text/csv: status %d, want 406", rt.name, res.StatusCode)
 		}
@@ -83,7 +83,7 @@ func TestInstrumentRoutes(t *testing.T) {
 			t.Fatalf("%s: 406 response carries no X-Request-Id", rt.name)
 		}
 	}
-	for _, rt := range routes {
+	for _, rt := range s.routes {
 		if got := rt.em.Requests.Load(); got != 2 {
 			t.Errorf("%s: requests = %d, want 2", rt.name, got)
 		}
@@ -171,6 +171,53 @@ func TestScrapeBothFormats(t *testing.T) {
 	res, body = get("/metrics?format=xml", "")
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("format=xml: status %d, want 400 (body %s)", res.StatusCode, body)
+	}
+}
+
+// TestMetricsNegotiation: with no ?format=, /metrics serves the text
+// exposition exactly when the Accept header rates text/plain above
+// application/json. Prometheus's own scrape headers (text/plain, or
+// OpenMetrics before it, ahead of a low-quality */*) and plain text/plain
+// get the text exposition; JSON, */* and no header get JSON.
+func TestMetricsNegotiation(t *testing.T) {
+	s, err := newServer(trainModel(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	for _, h := range []struct {
+		accept string
+		text   bool
+	}{
+		{"text/plain;version=0.0.4;q=1,*/*;q=0.1", true},
+		{"application/openmetrics-text;version=1.0.0,application/openmetrics-text;version=0.0.1;q=0.75,text/plain;version=0.0.4;q=0.5,*/*;q=0.1", true},
+		{"text/plain", true},
+		{"application/json", false},
+		{"*/*", false},
+		{"", false},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+		if h.accept != "" {
+			req.Header.Set("Accept", h.accept)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctype := res.Header.Get("Content-Type")
+		if h.text {
+			if _, perr := obs.ParseText(body); res.StatusCode != http.StatusOK || ctype != obs.TextType || perr != nil {
+				t.Errorf("Accept %q: status %d type %q (%v), want the text exposition", h.accept, res.StatusCode, ctype, perr)
+			}
+		} else if res.StatusCode != http.StatusOK || !strings.HasPrefix(ctype, jsonType) || !json.Valid(body) {
+			t.Errorf("Accept %q: status %d type %q, want JSON", h.accept, res.StatusCode, ctype)
+		}
 	}
 }
 
@@ -339,8 +386,10 @@ func TestPromFamiliesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var x obs.Export
+	s.export(&x)
 	var lines []string
-	for _, f := range s.promFamilies() {
+	for _, f := range x.Families() {
 		lines = append(lines, familySignature(f))
 	}
 	got := strings.Join(lines, "\n") + "\n"

@@ -16,7 +16,7 @@ import (
 
 // BoostRow is one dataset of a BoostVsBagged run: single tree, bagged forest
 // and boosted ensemble accuracy under the same protocol on identical folds,
-// plus the boosted ensemble's shape and batch inference throughput.
+// plus the boosted ensemble's shape.
 type BoostRow struct {
 	Dataset    string
 	Rounds     int     // configured boosting rounds
@@ -24,8 +24,6 @@ type BoostRow struct {
 	TreeAcc    float64 // single UDT tree accuracy (CV or train/test per spec)
 	BaggedAcc  float64 // bagged forest accuracy under the same protocol
 	BoostAcc   float64 // boosted ensemble accuracy under the same protocol
-	TreeTput   float64 // tuples/s, compiled single tree, batch inference
-	BoostTput  float64 // tuples/s, compiled boosted ensemble, batch inference
 	BuildTime  time.Duration
 	AlphaRange [2]float64 // min and max member vote weight of the full-train ensemble
 }
@@ -37,8 +35,7 @@ var boostDefaults = []string{"Iris", "Glass", "Vehicle", "Segment"}
 // BoostVsBagged compares a boosted weighted ensemble against the bagged
 // forest and the single UDT tree on the bundled datasets, under the paper's
 // protocol (train/test or k-fold CV) on identical folds for all three
-// models. workers bounds training and inference concurrency without
-// affecting any result.
+// models. workers bounds training concurrency without affecting any result.
 func BoostVsBagged(o Options, rounds, trees int) ([]BoostRow, error) {
 	o = o.withDefaults()
 	if rounds <= 0 {
@@ -95,8 +92,8 @@ func BoostVsBagged(o Options, rounds, trees int) ([]BoostRow, error) {
 			TreeAcc: tr.Accuracy, BaggedAcc: fr.Accuracy, BoostAcc: br.Accuracy, BuildTime: br.BuildTime,
 		}
 
-		// Ensemble shape and throughput come from models over the full
-		// training set — the models a production trainer would ship.
+		// Ensemble shape comes from an ensemble over the full training set —
+		// the model a production trainer would ship.
 		bst, err := boost.Train(train, bCfg)
 		if err != nil {
 			return nil, err
@@ -104,13 +101,6 @@ func BoostVsBagged(o Options, rounds, trees int) ([]BoostRow, error) {
 		row.Kept = bst.NumTrees()
 		ws := bst.Weights()
 		row.AlphaRange = [2]float64{slices.Min(ws), slices.Max(ws)}
-		tree, err := eval.Tree(treeCfg)(train)
-		if err != nil {
-			return nil, err
-		}
-		workers := max(o.Workers, 1)
-		row.TreeTput = throughput(train.Len(), func() { tree.PredictBatch(train.Tuples, workers) })
-		row.BoostTput = throughput(train.Len(), func() { bst.PredictBatch(train.Tuples, workers) })
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -118,11 +108,11 @@ func BoostVsBagged(o Options, rounds, trees int) ([]BoostRow, error) {
 
 // FprintBoost renders a BoostVsBagged run.
 func FprintBoost(w io.Writer, rows []BoostRow) {
-	fmt.Fprintf(w, "%-14s %7s %5s %9s %11s %10s %13s %12s %13s %10s\n",
-		"dataset", "rounds", "kept", "tree acc", "bagged acc", "boost acc", "alpha range", "tree tup/s", "boost tup/s", "build")
+	fmt.Fprintf(w, "%-14s %7s %5s %9s %11s %10s %13s %10s\n",
+		"dataset", "rounds", "kept", "tree acc", "bagged acc", "boost acc", "alpha range", "build")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %7d %5d %8.2f%% %10.2f%% %9.2f%% %6.2f-%5.2f %12.0f %13.0f %10v\n",
+		fmt.Fprintf(w, "%-14s %7d %5d %8.2f%% %10.2f%% %9.2f%% %6.2f-%5.2f %10v\n",
 			r.Dataset, r.Rounds, r.Kept, r.TreeAcc*100, r.BaggedAcc*100, r.BoostAcc*100,
-			r.AlphaRange[0], r.AlphaRange[1], r.TreeTput, r.BoostTput, r.BuildTime.Round(time.Millisecond))
+			r.AlphaRange[0], r.AlphaRange[1], r.BuildTime.Round(time.Millisecond))
 	}
 }

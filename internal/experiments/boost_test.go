@@ -8,7 +8,7 @@ import (
 // TestBoostVsBagged pins the boosted ensemble's value proposition (the boost
 // twin of TestForestVsTree): on at least one bundled dataset the boosted
 // ensemble must beat the single-tree cross-validation accuracy under the
-// identical protocol and folds, with sane vote weights and throughput.
+// identical protocol and folds, with sane vote weights.
 func TestBoostVsBagged(t *testing.T) {
 	opts := Options{Scale: 0.25, S: 40, Seed: 1, Folds: 5, Workers: 4, Datasets: []string{"Iris", "Glass"}}
 	rows, err := BoostVsBagged(opts, 15, 25)
@@ -31,9 +31,6 @@ func TestBoostVsBagged(t *testing.T) {
 		}
 		if !(r.AlphaRange[0] > 0) || r.AlphaRange[1] < r.AlphaRange[0] {
 			t.Fatalf("%s: implausible alpha range %v", r.Dataset, r.AlphaRange)
-		}
-		if r.TreeTput <= 0 || r.BoostTput <= 0 {
-			t.Fatalf("%s: non-positive throughput (%v, %v)", r.Dataset, r.TreeTput, r.BoostTput)
 		}
 	}
 	if beats == 0 {

@@ -13,19 +13,16 @@ import (
 )
 
 // ForestRow is one dataset of a ForestVsTree run: single-tree vs bagged
-// ensemble accuracy under the same protocol and identical folds, the
-// ensemble's out-of-bag estimate, and batch inference throughput for both
-// models.
+// ensemble accuracy under the same protocol and identical folds, and the
+// ensemble's out-of-bag estimate.
 type ForestRow struct {
-	Dataset    string
-	Trees      int
-	TreeAcc    float64 // single UDT tree accuracy (CV or train/test per spec)
-	ForestAcc  float64 // ensemble accuracy under the same protocol
-	OOBAcc     float64 // out-of-bag accuracy of a forest on the full training set
-	OOBBrier   float64
-	TreeTput   float64 // tuples/s, compiled single tree, batch inference
-	ForestTput float64 // tuples/s, compiled forest, batch inference
-	BuildTime  time.Duration
+	Dataset   string
+	Trees     int
+	TreeAcc   float64 // single UDT tree accuracy (CV or train/test per spec)
+	ForestAcc float64 // ensemble accuracy under the same protocol
+	OOBAcc    float64 // out-of-bag accuracy of a forest on the full training set
+	OOBBrier  float64
+	BuildTime time.Duration
 }
 
 // forestDefaults lists the datasets the forest experiment runs when no
@@ -35,9 +32,8 @@ var forestDefaults = []string{"Iris", "Glass", "Vehicle", "Segment"}
 
 // ForestVsTree compares a bagged ensemble of the given size against a
 // single UDT tree on the bundled datasets: the paper's protocol (train/test
-// or k-fold CV on identical folds) for accuracy, plus out-of-bag statistics
-// and compiled batch throughput. workers bounds both training and inference
-// concurrency.
+// or k-fold CV on identical folds) for accuracy, plus out-of-bag statistics.
+// workers bounds training concurrency without affecting any result.
 func ForestVsTree(o Options, trees int) ([]ForestRow, error) {
 	o = o.withDefaults()
 	if trees <= 0 {
@@ -86,20 +82,13 @@ func ForestVsTree(o Options, trees int) ([]ForestRow, error) {
 			TreeAcc: tr.Accuracy, ForestAcc: fr.Accuracy, BuildTime: fr.BuildTime,
 		}
 
-		// OOB statistics and throughput come from models over the full
-		// training set — the models a production trainer would ship.
+		// OOB statistics come from a forest over the full training set — the
+		// model a production trainer would ship.
 		f, err := forest.Train(train, fCfg)
 		if err != nil {
 			return nil, err
 		}
 		row.OOBAcc, row.OOBBrier = f.OOB.Accuracy, f.OOB.Brier
-		tree, err := eval.Tree(treeCfg)(train)
-		if err != nil {
-			return nil, err
-		}
-		workers := max(o.Workers, 1)
-		row.TreeTput = throughput(train.Len(), func() { tree.PredictBatch(train.Tuples, workers) })
-		row.ForestTput = throughput(train.Len(), func() { f.PredictBatch(train.Tuples, workers) })
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -107,19 +96,11 @@ func ForestVsTree(o Options, trees int) ([]ForestRow, error) {
 
 // FprintForest renders a ForestVsTree run.
 func FprintForest(w io.Writer, rows []ForestRow) {
-	fmt.Fprintf(w, "%-14s %6s %9s %10s %8s %9s %12s %12s %10s\n",
-		"dataset", "trees", "tree acc", "forest acc", "OOB acc", "OOB Brier", "tree tup/s", "forest tup/s", "build")
+	fmt.Fprintf(w, "%-14s %6s %9s %10s %8s %9s %10s\n",
+		"dataset", "trees", "tree acc", "forest acc", "OOB acc", "OOB Brier", "build")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %6d %8.2f%% %9.2f%% %7.2f%% %9.4f %12.0f %12.0f %10v\n",
+		fmt.Fprintf(w, "%-14s %6d %8.2f%% %9.2f%% %7.2f%% %9.4f %10v\n",
 			r.Dataset, r.Trees, r.TreeAcc*100, r.ForestAcc*100, r.OOBAcc*100, r.OOBBrier,
-			r.TreeTput, r.ForestTput, r.BuildTime.Round(time.Millisecond))
+			r.BuildTime.Round(time.Millisecond))
 	}
-}
-
-// throughput times one batch pass and converts it to tuples per second.
-func throughput(tuples int, fn func()) float64 {
-	start := time.Now()
-	fn()
-	elapsed := max(time.Since(start), time.Nanosecond)
-	return float64(tuples) / elapsed.Seconds()
 }

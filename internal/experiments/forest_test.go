@@ -8,7 +8,7 @@ import (
 // TestForestVsTree pins the ensemble's value proposition: on at least one
 // bundled dataset, a 25-tree bagged forest must beat the single-tree
 // cross-validation accuracy under the identical protocol and folds. It also
-// sanity-checks the reported OOB and throughput numbers.
+// sanity-checks the reported OOB numbers.
 func TestForestVsTree(t *testing.T) {
 	opts := Options{Scale: 0.25, S: 40, Seed: 1, Folds: 5, Workers: 4, Datasets: []string{"Iris", "Glass"}}
 	rows, err := ForestVsTree(opts, 25)
@@ -31,9 +31,6 @@ func TestForestVsTree(t *testing.T) {
 		}
 		if r.OOBBrier < 0 || r.OOBBrier > 2 {
 			t.Fatalf("%s: OOB Brier %v implausible", r.Dataset, r.OOBBrier)
-		}
-		if r.TreeTput <= 0 || r.ForestTput <= 0 {
-			t.Fatalf("%s: non-positive throughput (%v, %v)", r.Dataset, r.TreeTput, r.ForestTput)
 		}
 	}
 	if beats == 0 {

@@ -37,22 +37,6 @@ func (e *EndpointMetrics) Observe(elapsed time.Duration, status int) {
 	}
 }
 
-// Snapshot renders the endpoint's counters in the /metrics JSON shape.
-func (e *EndpointMetrics) Snapshot() map[string]any {
-	n := e.Requests.Load()
-	out := map[string]any{
-		"requests": n,
-		"errors":   e.Errors.Load(),
-	}
-	if n > 0 {
-		total := time.Duration(e.Nanos.Load())
-		out["totalLatency"] = total.String()
-		out["avgLatency"] = (total / time.Duration(n)).String()
-		out["latency"] = e.Hist.Snapshot()
-	}
-	return out
-}
-
 // Middleware is the per-request plumbing shared by every endpoint: request
 // IDs, Accept negotiation, status/latency accounting into an
 // EndpointMetrics, and deterministically sampled request traces.
@@ -176,22 +160,6 @@ func (m *Middleware) SpanTotalNanos(k SpanKind) int64 { return m.spanNanos[k].Lo
 // SpanSnapshot returns the latency histogram of one span kind.
 func (m *Middleware) SpanSnapshot(k SpanKind) *latency.Snapshot { return m.spanHist[k].Snapshot() }
 
-// Snapshot renders the tracing state for the /metrics JSON document.
-func (m *Middleware) Snapshot() map[string]any {
-	spans := map[string]any{}
-	for k := SpanKind(0); k < NumSpans; k++ {
-		spans[k.String()] = map[string]any{
-			"totalMicros": m.spanNanos[k].Load() / 1e3,
-			"latency":     m.spanHist[k].Snapshot(),
-		}
-	}
-	return map[string]any{
-		"sampleEvery": m.SampleEvery,
-		"sampled":     m.sampled.Load(),
-		"spans":       spans,
-	}
-}
-
 // StatusRecorder captures the response status for error counting.
 type StatusRecorder struct {
 	http.ResponseWriter
@@ -243,14 +211,20 @@ func acceptsAny(headers []string, ctypes []string) bool {
 	return len(ctypes) == 0
 }
 
-// Accepts reports whether the request's Accept header lines admit ctype. An
-// absent (or blank) header accepts everything. Per RFC 9110 §12.5.1 the
-// most specific matching range governs (exact type over "type/*" over
-// "*/*"), so an explicit q=0 on the exact type refuses it even when a
-// wildcard would admit it. Preference ordering among acceptable types is
-// ignored — the caller has one representation per content type, so only
-// acceptable-vs-refused can change the outcome.
+// Accepts reports whether the request's Accept header lines admit ctype:
+// whether they give it a quality above 0 (see quality). An absent (or
+// blank) header accepts everything, and an explicit q=0 on the exact type
+// refuses it even when a wildcard would admit it.
 func Accepts(headers []string, ctype string) bool {
+	return quality(headers, ctype) > 0
+}
+
+// quality returns the weight the Accept header lines give ctype. Per RFC
+// 9110 §12.5.1 the most specific matching range governs (exact type over
+// "type/*" over "*/*"), and among equally specific duplicates the highest q
+// wins. A ctype no range matches gets 0; an absent (or blank) header gives
+// every type 1.
+func quality(headers []string, ctype string) float64 {
 	slash := strings.IndexByte(ctype, '/')
 	seen := false
 	bestSpec, bestQ := -1, 0.0
@@ -287,7 +261,10 @@ func Accepts(headers []string, ctype string) bool {
 			}
 		}
 	}
-	return !seen || (bestSpec >= 0 && bestQ > 0)
+	if !seen {
+		return 1
+	}
+	return bestQ
 }
 
 // qvalue extracts the quality weight from a media-range parameter list,

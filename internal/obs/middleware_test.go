@@ -114,7 +114,9 @@ func TestMiddlewareAccounting(t *testing.T) {
 		t.Fatalf("latency accounting: nanos=%d histTotal=%d", em.Nanos.Load(), em.Hist.Snapshot().Total())
 	}
 
-	snap := em.Snapshot()
+	doc := map[string]any{}
+	em.Declare(doc, "x", nil, nil, nil)
+	snap := doc["x"].(map[string]any)
 	for _, key := range []string{"requests", "errors", "totalLatency", "avgLatency", "latency"} {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("Snapshot missing %q: %v", key, snap)

@@ -19,16 +19,16 @@ type RuntimeStats struct {
 	pauses    latency.AtomicHist
 }
 
-// RuntimeSnapshot is one point-in-time view of the process runtime,
-// serialised into the /metrics JSON document and the Prometheus view.
+// RuntimeSnapshot is one point-in-time view of the process runtime, for a
+// server's metric inventory (see Export).
 type RuntimeSnapshot struct {
-	HeapAllocBytes     uint64            `json:"heapAllocBytes"`
-	HeapSysBytes       uint64            `json:"heapSysBytes"`
-	HeapObjects        uint64            `json:"heapObjects"`
-	Goroutines         int               `json:"goroutines"`
-	GCCycles           int64             `json:"gcCycles"`
-	GCPauseTotalMicros int64             `json:"gcPauseTotalMicros"`
-	GCPauses           *latency.Snapshot `json:"gcPauses"`
+	HeapAllocBytes     uint64
+	HeapSysBytes       uint64
+	HeapObjects        uint64
+	Goroutines         int
+	GCCycles           int64
+	GCPauseTotalMicros int64
+	GCPauses           *latency.Snapshot
 }
 
 // Snapshot reads the runtime state. Safe for concurrent use; concurrent

@@ -1,8 +1,9 @@
 // Package obs is the serving and training observability layer: per-request
 // traces with decode/classify/encode spans, the HTTP middleware that samples
-// and records them, a Prometheus text-format view of the server's metrics
-// (writer and strict parser), process runtime metrics, and the ProgressHook
-// that instruments tree, forest and boosted training.
+// and records them, the metric inventory (Export) from which one
+// declaration renders both /metrics dialects, the Prometheus text format
+// (writer and strict parser), process runtime metrics, and the
+// ProgressHook that instruments tree, forest and boosted training.
 //
 // The package is stdlib-only (plus internal/latency, whose power-of-two
 // buckets every histogram in the repo shares) and imports nothing from the

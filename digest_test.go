@@ -6,6 +6,7 @@ package udt_test
 // (see CHANGES.md) rather than regenerate the table to absorb it.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"udt"
+	"udt/internal/binfmt"
 	"udt/internal/data"
 	"udt/internal/uci"
 )
@@ -163,5 +165,81 @@ func TestTrainedModelDigests(t *testing.T) {
 				t.Errorf("digest %s, pinned %q", got, want)
 			}
 		})
+	}
+}
+
+// containerDigests is sha256(binfmt.EncodeForest(model)) per row of
+// TestBinaryContainerDigests.
+var containerDigests = map[string]string{
+	"continuous/tree":      "4fe1526a455ddd7d60ab5dc757620b0630c064f8b19155d623f91afc7f751bd6",
+	"continuous/bagged":    "301782a326c899b9e0481189a944d52e3cad61d07f3027e2d1d2565d1335cc9e",
+	"continuous/boosted":   "31c395bc72bf1d28d115696958ccb02a1d1102956c490a3e99402018e0314d5b",
+	"vehicle-w0.1/tree":    "b5ecd44a14fa142b328d81a8e780252c230bbab9806c939316b5a2a137d9ae11",
+	"vehicle-w0.1/bagged":  "d9c4ff82a4266c281589b9238e9382742d0c6d659006b181634775e6facf61fe",
+	"vehicle-w0.1/boosted": "bd2dfdcba3895cfcd6d9c9304b738d4b7fd502bcc18d64d2c482990bcc3d07b0",
+}
+
+// TestBinaryContainerDigests pins the binary container bytes of a tree, a
+// bagged forest whose members see projected attribute subsets, and a boosted
+// ensemble, on a continuous-pdf dataset and on the Vehicle stand-in. The
+// bytes cover the hash-consed node arena, the member roots, weights, bounds
+// and stats, so a change to how models compile or encode moves a digest. A
+// container decoded and encoded again must give back its input bytes.
+func TestBinaryContainerDigests(t *testing.T) {
+	datasets := []struct {
+		name  string
+		ds    *udt.Dataset
+		attrs int // AttrsPerTree of the bagged forest
+		depth int // MaxDepth of the boosted members: shallow enough that all 5 rounds are kept
+	}{
+		{"continuous", determinismDataset(t), 1, 1},
+		{"vehicle-w0.1", injected(t, vehiclePoints(t), 0.1), 6, 3},
+	}
+	for _, d := range datasets {
+		models := []struct {
+			name  string
+			train func() (any, error)
+		}{
+			{"tree", func() (any, error) {
+				return udt.Build(d.ds, udt.Config{MinWeight: 2})
+			}},
+			{"bagged", func() (any, error) {
+				return udt.TrainForest(d.ds, udt.ForestConfig{
+					Trees: 5, Seed: 3, AttrsPerTree: d.attrs,
+					TreeConfig: udt.Config{Strategy: udt.StrategyES, MinWeight: 2},
+				})
+			}},
+			{"boosted", func() (any, error) {
+				return udt.TrainBoosted(d.ds, udt.BoostConfig{
+					Rounds:     5,
+					TreeConfig: udt.Config{Strategy: udt.StrategyGP, MaxDepth: d.depth, MinWeight: 2},
+				})
+			}},
+		}
+		for _, m := range models {
+			name := d.name + "/" + m.name
+			t.Run(name, func(t *testing.T) {
+				model, err := m.train()
+				if err != nil {
+					t.Fatal(err)
+				}
+				img := encodeBinaryModel(t, model)
+				sum := sha256.Sum256(img)
+				if got, want := hex.EncodeToString(sum[:]), containerDigests[name]; got != want {
+					t.Errorf("digest %s (%d bytes), pinned %q", got, len(img), want)
+				}
+				c, err := binfmt.DecodeBytes(img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var again bytes.Buffer
+				if err := binfmt.EncodeForest(&again, c.Forest); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Bytes(), img) {
+					t.Fatalf("decode and encode again gave %d bytes that differ from the %d input bytes", again.Len(), len(img))
+				}
+			})
+		}
 	}
 }

@@ -41,10 +41,12 @@
 //
 // Up to Parallelism × Workers goroutines may run during one build.
 //
-// For serving, Tree.Compile flattens a built (or JSON-loaded) tree into a
-// Compiled engine: a contiguous array layout classified by an iterative,
+// For serving, Tree.Compile interns a built (or JSON-loaded) tree into a
+// Compiled engine: a hash-consed node arena (contiguous arrays in
+// post-order, identical subtrees stored once) classified by an iterative,
 // allocation-free descent, with ClassifyBatch/PredictBatch spreading a
-// batch over a bounded number of workers. The compiled path returns exactly
+// batch over a bounded number of workers. Ensembles compile all their
+// members into one arena, which the binary model container stores as is. The compiled path returns exactly
 // the distributions of Tree.Classify; cmd/udtserve exposes it over HTTP.
 //
 // TrainForest builds a bagged ensemble of compiled trees: bootstrap

@@ -55,8 +55,8 @@ func ExampleTree_Classify() {
 	// P(high) > P(low) > 0: true
 }
 
-// ExampleTree_Compile shows the serving path: a built tree is flattened
-// into the compiled flat-array engine, whose batch APIs classify many
+// ExampleTree_Compile shows the serving path: a built tree is interned
+// into the compiled arena engine, whose batch APIs classify many
 // tuples concurrently and return exactly the recursive results.
 func ExampleTree_Compile() {
 	ds := udt.NewDataset("demo", 1, []string{"low", "high"})

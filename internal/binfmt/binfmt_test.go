@@ -2,6 +2,8 @@ package binfmt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -329,6 +331,126 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeBytes(mut); err == nil {
 		t.Error("oversized section accepted")
 	}
+
+	// A member that sees every attribute is checked against the full schema
+	// even when another member is projected.
+	if img, off := mixedProjectionMutant(t); true {
+		_, err := DecodeBytes(img)
+		want := fmt.Sprintf("offset %d:", off)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("attribute beyond the schema in an unprojected member: error %v, want one at %q", err, want)
+		}
+	}
+
+	// Early exit trusts the stored upper bounds, and the stats record each
+	// member's reach: a container whose bounds or reach are not what its
+	// arena gives is refused, and the error names the entry.
+	for name, mutant := range boundMutants(t) {
+		_, err := DecodeBytes(mutant.img)
+		want := fmt.Sprintf("offset %d:", mutant.off)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one at %q", name, err, want)
+		}
+	}
+}
+
+// boundMutant is a container whose bound or reach entry at off disagrees with
+// its arena.
+type boundMutant struct {
+	img []byte
+	off int
+}
+
+// boundMutants encodes an 8-member boosted ensemble and returns copies with
+// every upper bound zeroed, and with one member's reach off by one.
+func boundMutants(t testing.TB) map[string]boundMutant {
+	t.Helper()
+	ds := testDataset(11, 240)
+	f, err := boost.Train(ds, boost.Config{Rounds: 8, TreeConfig: boost.WeakMemberConfig(core.Config{MinWeight: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.NumTrees() != 8 {
+		t.Fatalf("boosting kept %d members, want 8", f.NumTrees())
+	}
+	var buf bytes.Buffer
+	if err := EncodeForest(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	ubOff, ubSize := sectionSpan(t, img, ubSection)
+	zeroed := bytes.Clone(img)
+	clear(zeroed[ubOff : ubOff+ubSize])
+	statsOff, _ := sectionSpan(t, img, statsSection)
+	reach := statsOff + (2*statsWords+4)*8 // member 2's reach word
+	bumped := bytes.Clone(img)
+	bumped[reach]++
+	// The first nonzero bound is the first entry that disagrees.
+	first := ubOff
+	for first < ubOff+ubSize && binary.LittleEndian.Uint64(img[first:]) == 0 {
+		first += 8
+	}
+	return map[string]boundMutant{
+		"zeroed upper bounds": {zeroed, first},
+		"reach off by one":    {bumped, reach},
+	}
+}
+
+// mixedProjectionMutant encodes a bagged container whose first member sees
+// every attribute and whose second is projected, then points the first
+// member's root test at an attribute beyond the schema. It returns the image
+// and the offset of that attribute entry.
+func mixedProjectionMutant(t testing.TB) ([]byte, int) {
+	t.Helper()
+	ds := testDataset(13, 160)
+	full, err := core.Build(ds, core.Config{MinWeight: 1, MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := &core.Tree{Classes: ds.Classes, NumAttrs: ds.NumAttrs[:1], Root: &core.Node{Dist: []float64{1, 0, 0}, W: 1}}
+	in := core.NewInterner(len(ds.Classes))
+	r0, err := in.Add(full, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := in.Add(leaf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := in.Arena()
+	f, err := forest.FromArena(ds.Classes, ds.NumAttrs, ds.CatAttrs, arena, []forest.Member{
+		{Root: r0, Weight: 1, Stats: full.Stats},
+		{Root: r1, Weight: 1, NumIdx: []int{0}, CatIdx: []int{}, Stats: core.BuildStats{Nodes: 1, Leaves: 1, Depth: 1}},
+	}, forest.KindBagged, forest.OOBStats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arena.Kind[r0] == core.KindLeaf {
+		t.Fatal("the unprojected member is a single leaf")
+	}
+	var buf bytes.Buffer
+	if err := EncodeForest(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	attrOff, _ := sectionSpan(t, img, attrSection)
+	off := attrOff + int(r0)*4
+	binary.LittleEndian.PutUint32(img[off:], 99)
+	return img, off
+}
+
+// sectionSpan returns the offset and size of the section with the given id.
+func sectionSpan(t testing.TB, img []byte, id uint32) (off, size int) {
+	t.Helper()
+	n := int(binary.LittleEndian.Uint32(img[len(Magic)+40:]))
+	for i := 0; i < n; i++ {
+		e := img[tableEnd(i):]
+		if binary.LittleEndian.Uint32(e) == id {
+			return int(binary.LittleEndian.Uint64(e[8:])), int(binary.LittleEndian.Uint64(e[16:]))
+		}
+	}
+	t.Fatalf("container has no section %d", id)
+	return 0, 0
 }
 
 // TestLoadMissingFile: Load on a nonexistent path reports the path.

@@ -147,23 +147,6 @@ func decode(img []byte, closer func() error) (*Container, error) {
 		return nil, err
 	}
 
-	// Attribute-bound validation. When every member sees the full schema one
-	// pass over the arena settles all of it; a projected member's attr
-	// fields are indices into its own reduced schema, so such members get a
-	// per-member walk over their reachable nodes instead.
-	anyProjected := false
-	for mi := 0; mi < nm; mi++ {
-		if memIdx[mi] != nil {
-			anyProjected = true
-			break
-		}
-	}
-	if !anyProjected {
-		if err := validateAttrs(secs, kind, attr, start, numAttrs, catAttrs, 0, nodes); err != nil {
-			return nil, err
-		}
-	}
-
 	ubOff := secs[ubSection].off
 	for i, v := range ub {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
@@ -177,56 +160,47 @@ func decode(img []byte, closer func() error) (*Container, error) {
 		}
 	}
 
-	members := make([]forest.CompiledMember, nm)
-	for mi := 0; mi < nm; mi++ {
-		st, err := parseStats(secs[statsSection], stats, mi, nodes)
+	members := make([]forest.Member, nm)
+	for mi := range members {
+		st, err := parseStats(secs[statsSection], stats, mi)
 		if err != nil {
 			return nil, err
 		}
-		mClasses, mNum, mCat := classes, numAttrs, catAttrs
-		if mi < len(memIdx) && memIdx[mi] != nil {
-			mNum = projectAttrs(numAttrs, memIdx[mi].num)
-			mCat = projectAttrs(catAttrs, memIdx[mi].cat)
-			if err := validateMemberAttrs(secs, kind, attr, start, child, mNum, mCat, roots[mi], nodes, mi); err != nil {
-				return nil, err
-			}
-		}
-		compiled, err := core.NewCompiledFromArrays(core.CompiledArrays{
-			Classes:  mClasses,
-			NumAttrs: mNum,
-			CatAttrs: mCat,
-			Kind:     kind,
-			Attr:     attr,
-			Split:    split,
-			Start:    start,
-			Child:    child,
-			W:        w,
-			Dist:     dist,
-			UB:       ub[mi*nc : (mi+1)*nc],
-			Root:     roots[mi],
-			Nodes:    st.reach,
-		})
-		if err != nil {
-			return nil, errAt(secs[rootsSection].off+off64(mi)*4, "member %d: %v", mi, err)
-		}
-		members[mi] = forest.CompiledMember{
-			Compiled: compiled,
-			Weight:   weights[mi],
-			Stats:    core.BuildStats{Nodes: st.nodes, Leaves: st.leaves, Depth: st.depth},
-		}
+		members[mi] = forest.Member{Root: roots[mi], Weight: weights[mi], Stats: st}
 		if memIdx[mi] != nil {
 			members[mi].NumIdx = memIdx[mi].num
 			members[mi].CatIdx = memIdx[mi].cat
 		}
 	}
-
 	var oobStats forest.OOBStats
 	if oob != nil {
 		oobStats = *oob
 	}
-	f, err := forest.FromCompiled(classes, numAttrs, catAttrs, members, kindNames[hdr.modelKind], oobStats)
+	arena := &core.Arena{Kind: kind, Attr: attr, Split: split, Start: start, Child: child, W: w, Dist: dist}
+	f, err := forest.FromArena(classes, numAttrs, catAttrs, arena, members, kindNames[hdr.modelKind], oobStats)
 	if err != nil {
 		return nil, errAt(off64(len(Magic)), "assemble ensemble: %v", err)
+	}
+
+	// The forest computed every member's engine from the arena. Its nodes
+	// must test attributes of the member's schema, and the stored upper
+	// bounds (which early exit trusts) and reach must be what the arena
+	// gives.
+	statsOff := secs[statsSection].off
+	seen := make([]int, nodes)
+	for mi, m := range f.Members() {
+		c := m.Compiled
+		if err := validateMemberAttrs(secs, kind, attr, start, child, c.NumAttrs, c.CatAttrs, roots[mi], seen, mi); err != nil {
+			return nil, err
+		}
+		for ci, v := range c.ClassUpperBounds() {
+			if i := mi*nc + ci; math.Float64bits(ub[i]) != math.Float64bits(v) {
+				return nil, errAt(ubOff+off64(i)*8, "member %d class %d upper bound %v, the arena gives %v", mi, ci, ub[i], v)
+			}
+		}
+		if i := mi*statsWords + 4; stats[i] != uint64(c.Reach()) {
+			return nil, errAt(statsOff+off64(i)*8, "member %d reaches %d arena nodes, its stats say %d", mi, c.Reach(), stats[i])
+		}
 	}
 	return &Container{Forest: f, closer: closer}, nil
 }
@@ -442,33 +416,21 @@ func parseOOB(img []byte, secs map[uint32]section, hdr header) (*forest.OOBStats
 	return o, nil
 }
 
-// memberStats is one member's decoded stats-section record.
-type memberStats struct {
-	nodes, leaves, depth int
-	reach                int
-}
-
-// parseStats validates member mi's stats record.
-func parseStats(s section, stats []uint64, mi, arenaNodes int) (memberStats, error) {
+// parseStats validates member mi's stats record and returns its build
+// statistics. The reach word is checked against the arena once the member is
+// compiled.
+func parseStats(s section, stats []uint64, mi int) (core.BuildStats, error) {
 	rec := stats[mi*statsWords : (mi+1)*statsWords]
 	at := s.off + off64(mi*statsWords)*8
 	for k := 0; k < 3; k++ {
 		if rec[k] > maxNodes {
-			return memberStats{}, errAt(at, "member %d stats word %d is %d, exceeds %d", mi, k, rec[k], uint64(maxNodes))
+			return core.BuildStats{}, errAt(at, "member %d stats word %d is %d, exceeds %d", mi, k, rec[k], uint64(maxNodes))
 		}
 	}
 	if rec[3]&^flagHasIdx != 0 {
-		return memberStats{}, errAt(at, "member %d has unknown flag bits %#x", mi, rec[3])
+		return core.BuildStats{}, errAt(at, "member %d has unknown flag bits %#x", mi, rec[3])
 	}
-	if rec[4] == 0 || rec[4] > uint64(arenaNodes) {
-		return memberStats{}, errAt(at, "member %d reachable-node count %d out of [1,%d]", mi, rec[4], arenaNodes)
-	}
-	return memberStats{
-		nodes:  int(rec[0]),
-		leaves: int(rec[1]),
-		depth:  int(rec[2]),
-		reach:  int(rec[4]),
-	}, nil
+	return core.BuildStats{Nodes: int(rec[0]), Leaves: int(rec[1]), Depth: int(rec[2])}, nil
 }
 
 // validateArena proves the node arrays structurally sound: CSR row pointers
@@ -517,43 +479,20 @@ func validateArena(secs map[uint32]section, kind []uint8, start, child []int32, 
 	return nil
 }
 
-// validateAttrs bounds every internal node's attribute index against the
-// given schema — the whole arena for identity members ([0,nodes)), shared by
-// the per-member reachable walk for projected ones.
-func validateAttrs(secs map[uint32]section, kind []uint8, attr []int32, start []int32, numAttrs, catAttrs []data.Attribute, lo, hi int) error {
-	attrOff := secs[attrSection].off
-	for i := lo; i < hi; i++ {
-		switch kind[i] {
-		case core.KindNum:
-			if a := attr[i]; a < 0 || int(a) >= len(numAttrs) {
-				return errAt(attrOff+off64(i)*4, "numeric node %d tests attribute %d, schema has %d", i, a, len(numAttrs))
-			}
-		case core.KindCat:
-			a := attr[i]
-			if a < 0 || int(a) >= len(catAttrs) {
-				return errAt(attrOff+off64(i)*4, "categorical node %d tests attribute %d, schema has %d", i, a, len(catAttrs))
-			}
-			if span, dom := int(start[i+1]-start[i]), len(catAttrs[a].Domain); span != dom {
-				return errAt(attrOff+off64(i)*4, "categorical node %d has %d children, attribute domain has %d values", i, span, dom)
-			}
-		}
-	}
-	return nil
-}
-
 // validateMemberAttrs walks member mi's reachable nodes, checking attribute
-// indices and domain arities against the member's projected schema.
-func validateMemberAttrs(secs map[uint32]section, kind []uint8, attr, start, child []int32, numAttrs, catAttrs []data.Attribute, root int32, nodes, mi int) error {
+// indices and domain arities against the member's schema. seen (one entry
+// per arena node, shared by the members' walks) records mi+1 on the nodes
+// this walk has visited.
+func validateMemberAttrs(secs map[uint32]section, kind []uint8, attr, start, child []int32, numAttrs, catAttrs []data.Attribute, root int32, seen []int, mi int) error {
 	attrOff := secs[attrSection].off
-	seen := make([]bool, nodes)
 	stack := []int32{root}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[i] {
+		if seen[i] == mi+1 {
 			continue
 		}
-		seen[i] = true
+		seen[i] = mi + 1
 		switch kind[i] {
 		case core.KindNum:
 			if a := attr[i]; a < 0 || int(a) >= len(numAttrs) {
@@ -573,18 +512,4 @@ func validateMemberAttrs(secs map[uint32]section, kind []uint8, attr, start, chi
 		}
 	}
 	return nil
-}
-
-// projectAttrs builds a member's reduced attribute schema from its
-// projection map. Out-of-range entries are tolerated here (yielding a
-// placeholder) because forest.FromCompiled re-validates the maps and
-// produces the canonical error.
-func projectAttrs(attrs []data.Attribute, idx []int) []data.Attribute {
-	out := make([]data.Attribute, len(idx))
-	for k, j := range idx {
-		if j >= 0 && j < len(attrs) {
-			out[k] = attrs[j]
-		}
-	}
-	return out
 }

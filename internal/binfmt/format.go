@@ -1,11 +1,14 @@
 // Package binfmt implements the versioned binary model container: a
-// little-endian, 64-byte-aligned columnar file whose sections are the
-// core.Compiled arrays themselves. Load maps the file into memory and points
-// the compiled engines' slices directly into the mapping — no parsing, no
-// copying, and pages shared across every process serving the same model —
-// with a portable read-into-slab fallback for platforms without mmap (and
-// for the fuzzer). JSON remains the interchange format; this is the serving
-// format.
+// little-endian, 64-byte-aligned columnar file whose node sections are the
+// arrays of the model's core.Arena, the one compiled layout every model
+// classifies over. The encoder writes a forest's arena, roots, weights,
+// bounds and stats as they are. Load maps the file into memory and hands the
+// validated sections to forest.FromArena, the constructor every other model
+// source ends in too, so a mapped model and one compiled from trees differ
+// only in the memory behind the arena — no parsing, no copying, and pages
+// shared across every process serving the same model — with a portable
+// read-into-slab fallback for platforms without mmap (and for the fuzzer).
+// JSON remains the interchange format; this is the serving format.
 //
 // # Layout
 //
@@ -17,18 +20,20 @@
 //
 // All integers and floats are little-endian; sections hold the arrays
 // verbatim (int32/float64/uint8/uint64 elements), so on little-endian hosts
-// a section is usable in place. The node arrays form one global arena shared
-// by every ensemble member: the encoder hash-conses structurally identical
-// subtrees across members (bootstrap overlap makes duplicates common), and
-// each member is just a root index into the arena plus its weight, emission
-// upper bounds, and optional attribute projection.
+// a section is usable in place. The node arrays form one arena shared by
+// every ensemble member, hash-consed when the model was compiled
+// (core.Interner: bootstrap overlap makes duplicate subtrees common), and
+// each member is a root index into the arena plus its weight, emission
+// upper bounds, stats and optional attribute projection. Decode recomputes
+// each member's bounds and reach from the arena and refuses a container
+// whose stored ones differ.
 //
-// Nodes are emitted children-first (post-order, first encounter), which
-// yields two load-bearing properties: a subtree occupies a contiguous id
-// range (cache locality for the descent — a van-Emde-Boas-flavoured
-// blocking), and every child id is strictly smaller than its parent's id,
-// so one linear pass over the child array proves the graph acyclic and
-// every descent terminating, no matter how the file was crafted.
+// Nodes are in post-order, first encounter, which yields two load-bearing
+// properties: the nodes a subtree adds occupy a contiguous id range (cache
+// locality for the descent), and every child id is strictly smaller than
+// its parent's, so one linear pass over the child array proves the graph
+// acyclic and every descent terminating, no matter how the file was
+// crafted.
 package binfmt
 
 import (

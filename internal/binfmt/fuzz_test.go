@@ -23,7 +23,8 @@ import (
 // Seeds cover the corpus the decoder was hardened against by hand in
 // TestDecodeRejectsCorruption — valid tree/bagged/projected/boosted
 // images plus truncated, bit-flipped, misaligned, and oversized-section
-// mutants — and the checked-in corpus under testdata/fuzz adds the
+// mutants, and a boosted image with zeroed upper bounds or a wrong reach —
+// and the checked-in corpus under testdata/fuzz adds the
 // trivial prefixes (empty, bare magic, zeroed header). CI runs a short
 // `-fuzz=FuzzDecodeBinary -fuzztime=10s` smoke to probe beyond them.
 func FuzzDecodeBinary(f *testing.F) {
@@ -94,6 +95,11 @@ func FuzzDecodeBinary(f *testing.F) {
 		mut[entry+16] = 0xFF // section size far beyond the image
 		mut[entry+17] = 0xFF
 		f.Add(mut)
+	}
+
+	// Containers whose stored bounds or reach disagree with their arena.
+	for _, m := range boundMutants(f) {
+		f.Add(m.img)
 	}
 
 	f.Fuzz(func(t *testing.T, img []byte) {

@@ -7,7 +7,7 @@ import (
 )
 
 // Load opens and decodes a binary model container. On platforms with mmap
-// the file is mapped read-only and the model's arrays point straight into
+// the file is mapped read-only and the model's arena points straight into
 // the mapping — near-zero load cost, pages shared with every other process
 // mapping the same file, and nothing to parse. Elsewhere (or if mapping
 // fails) the file is read into an aligned slab instead; same model, plain

@@ -161,9 +161,7 @@ func Train(ds *data.Dataset, cfg Config) (*forest.Forest, error) {
 		if errW < errFloor {
 			errW = errFloor
 			a := alpha(cfg.LearningRate, errW, k)
-			members = append(members, forest.WeightedTree{
-				Tree: tree, Compiled: compiled, Weight: a,
-			})
+			members = append(members, forest.WeightedTree{Tree: tree, Weight: a})
 			hook.Round(obs.BoostRound{Round: round + 1, Error: errW, Alpha: a, Kept: true})
 			break // a perfect member; further rounds would rebuild it forever
 		}
@@ -178,7 +176,7 @@ func Train(ds *data.Dataset, cfg Config) (*forest.Forest, error) {
 			}
 			break
 		}
-		members = append(members, forest.WeightedTree{Tree: tree, Compiled: compiled, Weight: a})
+		members = append(members, forest.WeightedTree{Tree: tree, Weight: a})
 		hook.Round(obs.BoostRound{Round: round + 1, Error: errW, Alpha: a, Kept: true})
 
 		// Reweight: misclassified tuples up by exp(alpha), then renormalise

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"udt/internal/data"
@@ -10,163 +9,52 @@ import (
 	"udt/internal/pdf"
 )
 
-// This file implements the compiled inference engine: a Tree flattened into
-// contiguous arrays, classified by an iterative descent that performs no
-// steady-state heap allocation. The recursive Classify of classify.go remains
-// the semantic reference; TestCompiledMatchesRecursive pins the two paths to
-// each other over randomized trees and tuples.
+// This file implements the compiled inference engine: a tree of an Arena,
+// classified by an iterative descent that performs no steady-state heap
+// allocation. The recursive Classify of classify.go remains the semantic
+// reference; TestCompiledMatchesRecursive pins the two paths to each other
+// over randomized trees and tuples.
 
-// Node kinds in the compiled layout.
-const (
-	ckLeaf uint8 = iota // terminal: dist row holds the class distribution
-	ckNum               // numeric test: attr, split, two children (left, right)
-	ckCat               // categorical test: attr, one child per domain value
-)
-
-// Compiled is a decision tree flattened into a struct-of-arrays layout for
-// fast inference. Node i's children are child[start[i]:start[i+1]] (CSR
-// indexing: left/right for numeric tests, one entry per domain value for
-// categorical tests), and node i owns row i of the dist arena — the leaf
-// class distribution for leaves, the per-class training weight (used by
-// missing-value routing) for internal nodes.
+// Compiled is one decision tree of an Arena, ready for fast inference: the
+// nodes reachable from its root, which it shares with every other tree
+// compiled over the same arena (the members of an ensemble, hash-consed into
+// one arena, share their common subtrees). Tree.Compile interns one tree
+// into an arena of its own; internal/forest compiles all members of a model
+// into one, and internal/binfmt maps a container's arena from disk.
 //
 // A Compiled is immutable after construction and safe for concurrent use.
-//
-// The arrays need not be exclusive to one tree: several Compiled engines can
-// share one arena (the binary model format hash-conses identical subtrees
-// across ensemble members into shared ranges), in which case each engine
-// keeps its own root index and only the nodes reachable from it belong to
-// the tree. Tree.Compile always produces a root of 0 over a private arena.
 type Compiled struct {
 	Classes  []string
 	NumAttrs []data.Attribute
 	CatAttrs []data.Attribute
 
-	kind  []uint8   // node kind (ckLeaf, ckNum, ckCat)
-	attr  []int32   // tested attribute index, by kind
-	split []float64 // numeric split point ("value <= split" goes left)
-	start []int32   // CSR row pointers into child; len = nodes+1
-	child []int32   // child node indices
-	w     []float64 // training weight that reached the node
-	dist  []float64 // arena of per-node class rows; row i is dist[i*C:(i+1)*C]
+	a     Arena     // node arrays, shared with the other trees of the arena
 	ub    []float64 // per-class emission upper bound; see ClassUpperBounds
-	root  int32     // descent entry point (0 for Tree.Compile output)
-	nodes int       // nodes reachable from root (len(kind) for private arenas)
+	root  int32     // descent entry point
+	nodes int       // logical nodes of the tree; see NumNodes
+	reach int       // distinct arena nodes reachable from root; see Reach
 }
 
-// Compile flattens the pointer-linked tree into the contiguous Compiled
-// layout, validating structural invariants (leaf distribution arity, both
-// children present on numeric tests, children matching the categorical
-// domain) that the recursive path would only surface as panics mid-descent.
+// Compile interns the pointer-linked tree into an arena of its own and
+// returns its engine, validating the structural invariants (leaf
+// distribution arity, both children present on numeric tests, children
+// matching the categorical domain) that the recursive path would only
+// surface as panics mid-descent.
 func (t *Tree) Compile() (*Compiled, error) {
 	if t == nil || t.Root == nil {
 		return nil, errors.New("core: cannot compile a tree without a root")
 	}
-	nc := len(t.Classes)
-	if nc == 0 {
+	if len(t.Classes) == 0 {
 		return nil, errors.New("core: cannot compile a tree without classes")
 	}
-	c := &Compiled{
-		Classes:  t.Classes,
-		NumAttrs: t.NumAttrs,
-		CatAttrs: t.CatAttrs,
+	in := NewInterner(len(t.Classes))
+	root, err := in.Add(t, 0)
+	if err != nil {
+		return nil, err
 	}
-	// Breadth-first flattening: while node i is processed its children are
-	// appended to the order, so siblings receive consecutive indices and the
-	// CSR child array gains its row structure for free.
-	order := []*Node{t.Root}
-	for i := 0; i < len(order); i++ {
-		n := order[i]
-		c.start = append(c.start, int32(len(c.child)))
-		c.w = append(c.w, n.W)
-		base := len(c.dist)
-		c.dist = append(c.dist, make([]float64, nc)...)
-		switch {
-		case n.IsLeaf():
-			if len(n.Dist) != nc {
-				return nil, fmt.Errorf("core: leaf has %d class probabilities, want %d", len(n.Dist), nc)
-			}
-			c.kind = append(c.kind, ckLeaf)
-			c.attr = append(c.attr, 0)
-			c.split = append(c.split, 0)
-			copy(c.dist[base:], n.Dist)
-		case n.Cat:
-			if n.Attr < 0 || n.Attr >= len(t.CatAttrs) {
-				return nil, fmt.Errorf("core: categorical test on attribute %d, schema has %d", n.Attr, len(t.CatAttrs))
-			}
-			if dom := len(t.CatAttrs[n.Attr].Domain); len(n.Kids) != dom {
-				return nil, fmt.Errorf("core: categorical test on %q has %d children, domain has %d values",
-					t.CatAttrs[n.Attr].Name, len(n.Kids), dom)
-			}
-			c.kind = append(c.kind, ckCat)
-			c.attr = append(c.attr, int32(n.Attr))
-			c.split = append(c.split, 0)
-			copy(c.dist[base:], n.ClassW)
-			for _, kid := range n.Kids {
-				if kid == nil {
-					return nil, errors.New("core: categorical test with a nil child")
-				}
-				c.child = append(c.child, int32(len(order)))
-				order = append(order, kid)
-			}
-		default:
-			if n.Left == nil || n.Right == nil {
-				return nil, errors.New("core: numeric test missing a child")
-			}
-			if n.Attr < 0 || n.Attr >= len(t.NumAttrs) {
-				return nil, fmt.Errorf("core: numeric test on attribute %d, schema has %d", n.Attr, len(t.NumAttrs))
-			}
-			c.kind = append(c.kind, ckNum)
-			c.attr = append(c.attr, int32(n.Attr))
-			c.split = append(c.split, n.Split)
-			copy(c.dist[base:], n.ClassW)
-			c.child = append(c.child, int32(len(order)))
-			order = append(order, n.Left)
-			c.child = append(c.child, int32(len(order)))
-			order = append(order, n.Right)
-		}
-	}
-	c.start = append(c.start, int32(len(c.child)))
-	c.root = 0
-	c.nodes = len(c.kind)
-	c.computeClassUpperBounds()
+	c := in.Arena().Compile(t.Classes, []int32{root})[0]
+	c.NumAttrs, c.CatAttrs = t.NumAttrs, t.CatAttrs
 	return c, nil
-}
-
-// computeClassUpperBounds fills c.ub: for each class, the largest probability
-// any single point of the descent can emit for it. A descent emits at leaves
-// (the leaf class distribution) and, when every child of a node with a
-// missing test attribute carries zero training weight, at internal nodes (the
-// node's class weights normalised by its own weight). The total mass a
-// descent distributes across emissions never exceeds the root weight (splits
-// conserve mass, sub-epsilon frames are dropped), so w0 * ub[class] bounds
-// the contribution a whole classification can make to one class — the
-// per-member bound staged early-exit inference accumulates over the members
-// not yet evaluated.
-func (c *Compiled) computeClassUpperBounds() {
-	nc := len(c.Classes)
-	c.ub = make([]float64, nc)
-	for node := range c.kind {
-		row := c.dist[node*nc : (node+1)*nc]
-		switch c.kind[node] {
-		case ckLeaf:
-			for ci, p := range row {
-				if p > c.ub[ci] {
-					c.ub[ci] = p
-				}
-			}
-		default:
-			// Internal fallback emission: row holds class weights, scaled by
-			// the node weight when routeMissing bottoms out here.
-			if nodeW := c.w[node]; nodeW > 0 {
-				for ci, cw := range row {
-					if p := cw / nodeW; p > c.ub[ci] {
-						c.ub[ci] = p
-					}
-				}
-			}
-		}
-	}
 }
 
 // ClassUpperBounds returns, per class, an upper bound on the probability mass
@@ -181,10 +69,14 @@ func (c *Compiled) ClassUpperBounds() []float64 {
 	return out
 }
 
-// NumNodes reports the number of nodes in the compiled tree: the nodes
-// reachable from its root, which is every node of the arena for trees built
-// by Tree.Compile but may be a subset when the arena is shared.
+// NumNodes reports the number of nodes of the tree, counting a subtree
+// that hash-consing stores once at every position it fills: the tree's
+// Stats.Nodes.
 func (c *Compiled) NumNodes() int { return c.nodes }
+
+// Reach reports the number of distinct arena nodes reachable from the root:
+// NumNodes less the repeats that hash-consing merged.
+func (c *Compiled) Reach() int { return c.reach }
 
 // cframe is one pending branch of the iterative descent: a node to visit,
 // the probability mass arriving there, and the head of its path's override
@@ -293,23 +185,23 @@ func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float6
 			continue
 		}
 		node := int(f.node)
-		switch c.kind[node] {
-		case ckLeaf:
+		switch c.a.Kind[node] {
+		case KindLeaf:
 			// Reslicing out to the row length lets the compiler drop the
 			// bounds check inside the accumulation loop; the summation
 			// order is unchanged.
-			row := c.dist[node*nc : node*nc+nc]
+			row := c.a.Dist[node*nc : node*nc+nc]
 			acc := out[:len(row)]
 			for ci, p := range row {
 				acc[ci] += f.w * p
 			}
-		case ckCat:
-			a := c.attr[node]
-			lo := int(c.start[node])
+		case KindCat:
+			a := c.a.Attr[node]
+			lo := int(c.a.Start[node])
 			if o := s.find(f.head, ^a); o >= 0 {
 				// Collapsed by an earlier test: the one value carries
 				// all the mass, and f.w * 1 == f.w.
-				s.frames = append(s.frames, cframe{node: c.child[lo+int(s.ovr[o].lo)], head: f.head, w: f.w})
+				s.frames = append(s.frames, cframe{node: c.a.Child[lo+int(s.ovr[o].lo)], head: f.head, w: f.w})
 				continue
 			}
 			d := tu.Cat[a]
@@ -323,13 +215,13 @@ func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float6
 					continue
 				}
 				s.frames = append(s.frames, cframe{
-					node: c.child[lo+v],
+					node: c.a.Child[lo+v],
 					head: s.push(override{prev: f.head, key: ^a, lo: int32(v)}),
 					w:    f.w * p,
 				})
 			}
-		case ckNum:
-			a := c.attr[node]
+		case KindNum:
+			a := c.a.Attr[node]
 			p := tu.Num[a]
 			if p == nil {
 				c.routeMissing(f, out, s, nc)
@@ -341,18 +233,18 @@ func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float6
 				e := s.ovr[o]
 				lo, hi, chain = int(e.lo), int(e.hi), s.steps[e.cs:e.ce]
 			}
-			k, pL, ls, rs := p.Cut(lo, hi, chain, c.split[node])
+			k, pL, ls, rs := p.Cut(lo, hi, chain, c.a.Split[node])
 			left, right := f.head, f.head
 			if pL > 0 && pL < 1 {
 				left = s.piece(f.head, a, lo, k, chain, ls)
 				right = s.piece(f.head, a, k, hi, chain, rs)
 			}
-			kid := int(c.start[node])
+			kid := int(c.a.Start[node])
 			if pL < 1 {
-				s.frames = append(s.frames, cframe{node: c.child[kid+1], head: right, w: f.w * (1 - pL)})
+				s.frames = append(s.frames, cframe{node: c.a.Child[kid+1], head: right, w: f.w * (1 - pL)})
 			}
 			if pL > 0 {
-				s.frames = append(s.frames, cframe{node: c.child[kid], head: left, w: f.w * pL})
+				s.frames = append(s.frames, cframe{node: c.a.Child[kid], head: left, w: f.w * pL})
 			}
 		}
 	}
@@ -367,14 +259,14 @@ func (c *Compiled) classify(tu *data.Tuple, out []float64, s *scratch, w0 float6
 //udt:hotpath
 func (c *Compiled) routeMissing(f cframe, out []float64, s *scratch, nc int) {
 	node := int(f.node)
-	lo, hi := int(c.start[node]), int(c.start[node+1])
+	lo, hi := int(c.a.Start[node]), int(c.a.Start[node+1])
 	total := 0.0
 	for i := lo; i < hi; i++ {
-		total += c.w[c.child[i]]
+		total += c.a.W[c.a.Child[i]]
 	}
 	if total <= 0 {
-		if nodeW := c.w[node]; nodeW > 0 {
-			row := c.dist[node*nc : (node+1)*nc]
+		if nodeW := c.a.W[node]; nodeW > 0 {
+			row := c.a.Dist[node*nc : (node+1)*nc]
 			for ci, cw := range row {
 				out[ci] += f.w * cw / nodeW
 			}
@@ -382,8 +274,8 @@ func (c *Compiled) routeMissing(f cframe, out []float64, s *scratch, nc int) {
 		return
 	}
 	for i := hi - 1; i >= lo; i-- {
-		kid := c.child[i]
-		s.frames = append(s.frames, cframe{node: kid, head: f.head, w: f.w * c.w[kid] / total})
+		kid := c.a.Child[i]
+		s.frames = append(s.frames, cframe{node: kid, head: f.head, w: f.w * c.a.W[kid] / total})
 	}
 }
 

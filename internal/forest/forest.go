@@ -2,9 +2,10 @@
 // and is the one runtime model type: a boosted ensemble is a forest with
 // weighted votes, and a single tree is a forest of one member (KindTree).
 // Each bagged member is trained on a bootstrap resample of the training
-// tuples, optionally restricted to a random attribute subset, and kept in
-// compiled (flat-array) form, so inference is the zero-allocation compiled
-// descent — repeated per member and averaged.
+// tuples, optionally restricted to a random attribute subset, and all
+// members are compiled into one hash-consed node arena (core.Arena), so
+// inference is the zero-allocation compiled descent — repeated per member
+// and averaged.
 //
 // Forest voting is distribution averaging: the classification distribution
 // of the ensemble is the mean of the member distributions, the same
@@ -75,12 +76,13 @@ const (
 // nil means the member sees every attribute. weight is the member's vote
 // weight (1 for bagged members, the SAMME alpha for boosted ones). tree is
 // the pointer-linked source tree when the member came from training or a
-// JSON container; members loaded from the binary format carry only the
-// compiled engine and a nil tree (stats holds their build statistics either
-// way, so Stats and Describe never need the tree).
+// JSON container; members loaded from the binary format carry only their
+// root in the forest's arena and a nil tree (stats holds their build
+// statistics either way, so Stats and Describe never need the tree).
 type member struct {
 	tree     *core.Tree
-	compiled *core.Compiled
+	compiled *core.Compiled // the engine at root over the forest's arena
+	root     int32
 	numIdx   []int
 	catIdx   []int
 	weight   float64
@@ -99,6 +101,7 @@ type Forest struct {
 
 	kind    string // KindTree, KindBagged or KindBoosted; "" means KindBagged
 	members []member
+	arena   *core.Arena // every member's nodes, hash-consed across members
 
 	// Staged-evaluation state, precomputed by initStaged (see staged.go).
 	order     []int     // member indices by descending vote weight, stable
@@ -128,10 +131,8 @@ func (f *Forest) Weights() []float64 {
 }
 
 // WeightedTree pairs one member tree with its vote weight for FromTrees.
-// Compiled optionally carries the tree's already-flattened engine so a
-// trainer that compiled each member anyway (boosting compiles per round to
-// measure the weighted error) does not pay a second Compile; nil compiles
-// here.
+// Members also reports each member's engine in Compiled; FromTrees ignores
+// that field and compiles every tree into the new forest's arena.
 type WeightedTree struct {
 	Tree     *core.Tree
 	Compiled *core.Compiled
@@ -160,16 +161,14 @@ func FromTrees(members []WeightedTree, kind string) (*Forest, error) {
 		members:  make([]member, len(members)),
 	}
 	for t, wt := range members {
-		m, err := f.restoreMember(memberJSON{Tree: wt.Tree, Weight: &members[t].Weight}, wt.Compiled)
-		if err != nil {
-			return nil, fmt.Errorf("forest: tree %d: %w", t, err)
+		if wt.Tree == nil {
+			return nil, fmt.Errorf("forest: tree %d: missing tree document", t)
 		}
-		f.members[t] = m
+		f.members[t] = member{tree: wt.Tree, weight: wt.Weight, stats: wt.Tree.Stats}
 	}
-	if err := f.checkKind(); err != nil {
+	if err := f.assemble(nil); err != nil {
 		return nil, err
 	}
-	f.initStaged()
 	return f, nil
 }
 
@@ -290,6 +289,7 @@ func Train(ds *data.Dataset, cfg Config) (*Forest, error) {
 		NumAttrs: ds.NumAttrs,
 		CatAttrs: ds.CatAttrs,
 		Config:   cfg,
+		kind:     KindBagged,
 		members:  make([]member, cfg.Trees),
 	}
 	inBag := make([][]bool, cfg.Trees)
@@ -343,7 +343,9 @@ func Train(ds *data.Dataset, cfg Config) (*Forest, error) {
 			return nil, err
 		}
 	}
-	f.initStaged()
+	if err := f.assemble(nil); err != nil {
+		return nil, err
+	}
 	f.computeOOB(ds, inBag)
 	return f, nil
 }
@@ -357,8 +359,8 @@ func treeSeed(seed int64, t int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// trainOne draws one bootstrap sample and attribute subset, builds and
-// compiles the member, and reports which tuples stayed out of the bag.
+// trainOne draws one bootstrap sample and attribute subset, builds the
+// member, and reports which tuples stayed out of the bag.
 func trainOne(ds *data.Dataset, cfg Config, rng *rand.Rand) (member, []bool, error) {
 	n := ds.Len()
 	draws := int(math.Round(cfg.SampleRatio * float64(n)))
@@ -382,11 +384,7 @@ func trainOne(ds *data.Dataset, cfg Config, rng *rand.Rand) (member, []bool, err
 	if err != nil {
 		return member{}, nil, fmt.Errorf("forest: member build: %w", err)
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		return member{}, nil, fmt.Errorf("forest: member compile: %w", err)
-	}
-	return member{tree: tree, compiled: compiled, numIdx: numIdx, catIdx: catIdx, weight: 1, stats: tree.Stats}, inBag, nil
+	return member{tree: tree, numIdx: numIdx, catIdx: catIdx, weight: 1, stats: tree.Stats}, inBag, nil
 }
 
 // pickAttrs selects k of the dataset's attributes uniformly at random,

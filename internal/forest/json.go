@@ -106,8 +106,8 @@ func (f *Forest) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON implements json.Unmarshaler. A single-tree document (a root,
 // no version, no trees array) decodes as a KindTree forest; anything else is
 // a container, whose version, member schemas, vote weights and class
-// vocabularies are validated. Every member is compiled, so the loaded
-// forest serves immediately.
+// vocabularies are validated. The members are compiled into one arena, so
+// the loaded forest serves immediately.
 func (f *Forest) UnmarshalJSON(b []byte) error {
 	var doc forestJSON
 	if err := json.Unmarshal(b, &doc); err != nil {
@@ -162,6 +162,9 @@ func (f *Forest) UnmarshalJSON(b []byte) error {
 	}
 	f.Config = Config{}
 	f.kind = doc.Kind
+	if f.kind == "" {
+		f.kind = KindBagged
+	}
 	f.members = make([]member, len(doc.Trees))
 	for t, mj := range doc.Trees {
 		// Weights are all-or-nothing per version: a v1 document that
@@ -173,29 +176,26 @@ func (f *Forest) UnmarshalJSON(b []byte) error {
 		if version == Version && mj.Weight == nil {
 			return fmt.Errorf("forest: tree %d: version %d members must carry a weight", t, Version)
 		}
-		m, err := f.restoreMember(mj, nil)
-		if err != nil {
-			return fmt.Errorf("forest: tree %d: %w", t, err)
+		if mj.Tree == nil {
+			return fmt.Errorf("forest: tree %d: missing tree document", t)
 		}
-		f.members[t] = m
+		weight := 1.0
+		if mj.Weight != nil {
+			weight = *mj.Weight
+		}
+		f.members[t] = member{tree: mj.Tree, numIdx: mj.NumIdx, catIdx: mj.CatIdx, weight: weight, stats: mj.Tree.Stats}
 	}
-	f.initStaged()
-	return nil
+	return f.assemble(nil)
 }
 
 // unmarshalTree decodes a legacy single-tree document into a KindTree
-// forest. Compile failures keep their own prefix: a valid document that
-// describes an invalid tree needs a different fix than a parse failure.
+// forest.
 func (f *Forest) unmarshalTree(b []byte) error {
 	tree := new(core.Tree)
 	if err := json.Unmarshal(b, tree); err != nil {
 		return err
 	}
-	compiled, err := tree.Compile()
-	if err != nil {
-		return fmt.Errorf("compile: %w", err)
-	}
-	g, err := FromTrees([]WeightedTree{{Tree: tree, Compiled: compiled, Weight: 1}}, KindTree)
+	g, err := FromTrees([]WeightedTree{{Tree: tree, Weight: 1}}, KindTree)
 	if err != nil {
 		return err
 	}
@@ -213,38 +213,9 @@ func checkWeight(w float64) error {
 	return nil
 }
 
-// restoreMember validates one container entry against the forest schema and
-// compiles its tree. A non-nil precompiled engine (FromTrees reusing the
-// trainer's per-round compilation) is adopted instead of compiling again.
-func (f *Forest) restoreMember(mj memberJSON, precompiled *core.Compiled) (member, error) {
-	if mj.Tree == nil {
-		return member{}, errors.New("missing tree document")
-	}
-	weight := 1.0
-	if mj.Weight != nil {
-		if err := checkWeight(*mj.Weight); err != nil {
-			return member{}, err
-		}
-		weight = *mj.Weight
-	}
-	tree := mj.Tree
-	numIdx, catIdx, err := f.checkMember(tree.Classes, tree.NumAttrs, tree.CatAttrs, mj.NumIdx, mj.CatIdx)
-	if err != nil {
-		return member{}, err
-	}
-	compiled := precompiled
-	if compiled == nil {
-		if compiled, err = tree.Compile(); err != nil {
-			return member{}, err
-		}
-	}
-	return member{tree: tree, compiled: compiled, numIdx: numIdx, catIdx: catIdx, weight: weight, stats: tree.Stats}, nil
-}
-
 // checkMember validates one member's schema against the forest's: class
 // vocabulary identity, index-map well-formedness, and attribute agreement.
-// It is shared by every member source — JSON containers, FromTrees, and
-// binary containers via FromCompiled.
+// assemble runs it for every member source.
 func (f *Forest) checkMember(classes []string, numAttrs, catAttrs []data.Attribute, rawNumIdx, rawCatIdx []int) (numIdx, catIdx []int, err error) {
 	if err := sameClasses(f.Classes, classes); err != nil {
 		return nil, nil, err

@@ -38,8 +38,8 @@ import (
 const exitSlackRel = 1e-9
 
 // initStaged precomputes the evaluation order, the per-stage remaining
-// vote-mass bounds, and the exit slack. Called once by every constructor
-// (Train, FromTrees, UnmarshalJSON); the forest is immutable afterwards.
+// vote-mass bounds, and the exit slack. Called once, by assemble; the forest
+// is immutable afterwards.
 func (f *Forest) initStaged() {
 	n := len(f.members)
 	nc := len(f.Classes)

@@ -239,23 +239,6 @@ func TestContainerV1ImplicitWeights(t *testing.T) {
 	}
 }
 
-// TestFromTreesReusesCompiled: a provided compiled engine must be adopted
-// (no second Compile), and the member must serve through it.
-func TestFromTreesReusesCompiled(t *testing.T) {
-	trees := buildTrees(t, 1)
-	compiled, err := trees[0].Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := FromTrees([]WeightedTree{{Tree: trees[0], Compiled: compiled, Weight: 2}}, KindBoosted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.members[0].compiled != compiled {
-		t.Fatal("FromTrees recompiled a member that came with a compiled engine")
-	}
-}
-
 // TestContainerV2BadWeights: invalid or missing vote weights in a v2
 // container must be rejected at decode time, not poison serving.
 func TestContainerV2BadWeights(t *testing.T) {

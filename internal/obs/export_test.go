@@ -146,9 +146,9 @@ func TestMetricsHandlerDialect(t *testing.T) {
 
 // FuzzMetricsNegotiation sends arbitrary Accept lines and format values to
 // the shared metrics handler over a small fixed inventory. It must never
-// panic; an unknown format gets a 400; otherwise the dialect follows the
-// negotiation rule, a text body passes the strict parser and a JSON body is
-// valid JSON.
+// panic; every quality lies in [0, 1]; an unknown format gets a 400;
+// otherwise the dialect follows the negotiation rule, a text body passes the
+// strict parser and a JSON body is valid JSON.
 func FuzzMetricsNegotiation(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"text/plain;version=0.0.4;q=1,*/*;q=0.1", ""},
@@ -158,6 +158,10 @@ func FuzzMetricsNegotiation(f *testing.F) {
 		{"text/plain;q=NaN,application/json;q=-1", ""},
 		{"text/plain;q=1e-400;q=2", ""},
 		{",;,;=q", ""},
+		{"text/plain;q=5, application/json;q=1", ""},
+		{"text/plain;q=Inf, application/json;q=0x1p-1", ""},
+		{"application/json;q=-0, text/plain;q=0.0000", ""},
+		{"text/plain;q=0.000, application/json;q=1.000", ""},
 		{"", "prometheus"},
 		{"application/json", "json"},
 		{"text/plain", "xml"},
@@ -179,8 +183,11 @@ func FuzzMetricsNegotiation(f *testing.F) {
 		if accept != "" {
 			headers = []string{accept}
 		}
-		wantText := format == "prometheus" ||
-			format == "" && quality(headers, "text/plain") > quality(headers, "application/json")
+		textQ, jsonQ := quality(headers, "text/plain"), quality(headers, "application/json")
+		if !(textQ >= 0 && textQ <= 1 && jsonQ >= 0 && jsonQ <= 1) {
+			t.Fatalf("Accept %q: qualities %v (text) and %v (JSON) outside [0, 1]", accept, textQ, jsonQ)
+		}
+		wantText := format == "prometheus" || format == "" && textQ > jsonQ
 		if w.Code != http.StatusOK {
 			t.Fatalf("Accept %q format %q: status %d", accept, format, w.Code)
 		}

@@ -267,20 +267,45 @@ func quality(headers []string, ctype string) float64 {
 	return bestQ
 }
 
-// qvalue extracts the quality weight from a media-range parameter list,
-// defaulting to 1 (including for a malformed q, which RFC 9110 leaves
-// unspecified — refusing only on an explicit, well-formed q=0).
+// qvalue extracts the quality weight from a media-range parameter list. It
+// takes q only when it is an RFC 9110 §12.4.2 qvalue — "0" with up to three
+// decimals or "1" with up to three zeros — so it always lies in [0, 1].
+// Anything else (NaN, -1, 5, 0x1p-1, 0.0001) is malformed, which RFC 9110
+// leaves unspecified; like an absent q it counts as 1, refusing a type only
+// on an explicit, well-formed q=0.
 func qvalue(params string) float64 {
 	for _, p := range strings.Split(params, ";") {
 		k, v, ok := strings.Cut(strings.TrimSpace(p), "=")
 		if ok && strings.EqualFold(strings.TrimSpace(k), "q") {
-			if f, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
-				return f
+			if v = strings.TrimSpace(v); validQvalue(v) {
+				q, _ := strconv.ParseFloat(v, 64)
+				return q
 			}
 			return 1
 		}
 	}
 	return 1
+}
+
+// validQvalue reports whether v matches qvalue = ( "0" [ "." 0*3DIGIT ] ) /
+// ( "1" [ "." 0*3("0") ] ).
+func validQvalue(v string) bool {
+	if v == "" || v[0] != '0' && v[0] != '1' {
+		return false
+	}
+	frac := v[1:]
+	if frac == "" {
+		return true
+	}
+	if frac[0] != '.' || len(frac) > 4 {
+		return false
+	}
+	for _, d := range frac[1:] {
+		if d < '0' || d > '9' || v[0] == '1' && d != '0' {
+			return false
+		}
+	}
+	return true
 }
 
 // Fail writes a JSON error body carrying the request ID stamped by the

@@ -193,6 +193,16 @@ func TestAcceptsNegotiation(t *testing.T) {
 		{"*/*;q=0", "application/json", false},
 		{"*/*;q=0, application/json", "application/json", true},
 		{"application/json;q=0, */*", "application/json", false},
+		// Only an RFC 9110 qvalue counts; a malformed q counts as 1.
+		{"application/json;q=NaN", "application/json", true},
+		{"application/json;q=-1", "application/json", true},
+		{"application/json;q=-0", "application/json", true},
+		{"application/json;q=0e0", "application/json", true},
+		{"application/json;q=0.0000", "application/json", true},
+		{"application/json;q=Inf", "application/json", true},
+		{"application/json;q=0x1p-1", "application/json", true},
+		{"application/json;q=0.000", "application/json", false},
+		{"application/json;q=0.", "application/json", false},
 	}
 	for _, tc := range cases {
 		headers := []string{tc.accept}
@@ -209,6 +219,45 @@ func TestAcceptsNegotiation(t *testing.T) {
 	}
 	if acceptsAny([]string{"text/csv"}, []string{"application/json", "text/plain"}) {
 		t.Fatal("acceptsAny admitted an unlisted type")
+	}
+}
+
+// TestQvalueGrammar: quality takes q only when it is an RFC 9110 qvalue —
+// "0" with up to three decimals or "1" with up to three zeros — and counts
+// anything else as 1, so every quality lies in [0, 1] and a q above 1 cannot
+// outrank a well-formed q=1.
+func TestQvalueGrammar(t *testing.T) {
+	for _, tc := range []struct {
+		accept string
+		want   float64
+	}{
+		{"application/json", 1},
+		{"application/json;q=0", 0},
+		{"application/json;q=0.5", 0.5},
+		{"application/json; q=0.125 ", 0.125},
+		{"application/json;Q=0.25", 0.25},
+		{"application/json;q=1.000", 1},
+		{"application/json;q=0.", 0},
+		{"application/json;q=NaN", 1},
+		{"application/json;q=-1", 1},
+		{"application/json;q=Inf", 1},
+		{"application/json;q=0x1p-1", 1},
+		{"application/json;q=5", 1},
+		{"application/json;q=1.5", 1},
+		{"application/json;q=1.001", 1},
+		{"application/json;q=0.0001", 1},
+		{"application/json;q=1e-400", 1},
+		{"application/json;q=+0", 1},
+		{"application/json;q=00", 1},
+		{"application/json;q=", 1},
+	} {
+		if got := quality([]string{tc.accept}, "application/json"); got != tc.want {
+			t.Errorf("quality(%q) = %v, want %v", tc.accept, got, tc.want)
+		}
+	}
+	headers := []string{"text/plain;q=5, application/json;q=1"}
+	if text, json := quality(headers, "text/plain"), quality(headers, "application/json"); text > json {
+		t.Errorf("%q: text/plain quality %v outranks application/json %v", headers[0], text, json)
 	}
 }
 

@@ -46,9 +46,10 @@ type (
 	Tree = core.Tree
 	// Node is one tree node.
 	Node = core.Node
-	// Compiled is a tree flattened into contiguous arrays by Tree.Compile
-	// for fast, allocation-free batch inference — the serving path of
-	// cmd/udtserve. It is immutable and safe for concurrent use.
+	// Compiled is a tree of a hash-consed node arena, made by
+	// Tree.Compile, for fast, allocation-free batch inference — the
+	// serving path of cmd/udtserve. It is immutable and safe for
+	// concurrent use.
 	Compiled = core.Compiled
 	// Config controls tree construction, including the two parallelism
 	// knobs: Parallelism (concurrent subtree builds) and Workers

@@ -38,9 +38,6 @@ func FromArena(classes []string, numAttrs, catAttrs []data.Attribute, arena *cor
 	if len(members) == 0 {
 		return nil, errors.New("forest: ensemble needs at least one member")
 	}
-	if len(classes) == 0 {
-		return nil, errors.New("forest: ensemble needs a class vocabulary")
-	}
 	if len(arena.Dist) != arena.Len()*len(classes) {
 		return nil, fmt.Errorf("forest: arena has %d class entries for %d nodes of %d classes", len(arena.Dist), arena.Len(), len(classes))
 	}
@@ -84,6 +81,9 @@ func (f *Forest) Arena() (*core.Arena, []Member) {
 // compiles every member's engine over the arena and precomputes the staged
 // evaluation state.
 func (f *Forest) assemble(arena *core.Arena) error {
+	if len(f.Classes) == 0 {
+		return errors.New("forest: ensemble needs a class vocabulary")
+	}
 	for t := range f.members {
 		m := &f.members[t]
 		if err := checkWeight(m.weight); err != nil {

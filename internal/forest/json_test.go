@@ -110,6 +110,10 @@ func TestForestJSONErrors(t *testing.T) {
 				ab, leafTree("a", "z")),
 			want: "container has",
 		},
+		"classless tree document": {
+			doc:  `{"classes": [], "numAttrs": [{"name": "A1"}], "root": {"dist": [], "w": 1}}`,
+			want: "class vocabulary",
+		},
 		"member class count mismatch": {
 			doc: fmt.Sprintf(`{"version": 1, "classes": ["a", "b", "c"], "numAttrs": [{"name": "A1"}], "trees": [{"tree": %s}]}`,
 				ab),

@@ -204,6 +204,22 @@ func TestClassifyBadRequests(t *testing.T) {
 			t.Errorf("%s: no error message", name)
 		}
 	}
+	// A refused number or key is quoted in part, however long it is.
+	long := strings.Repeat("0", 1<<20)
+	for name, body := range map[string]string{
+		"1 MiB number": `{"num": [1` + long + `, 2]}`,
+		"1 MiB key":    `{"` + long + `": 1}`,
+	} {
+		res := postJSON(t, ts.URL+"/classify", body)
+		blob, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusBadRequest || len(blob) > 512 {
+			t.Errorf("%s: status %d with a %d-byte body, want 400 with a short one", name, res.StatusCode, len(blob))
+		}
+	}
 	// Wrong method and wrong path 404/405.
 	res, err := http.Get(ts.URL + "/classify")
 	if err != nil {

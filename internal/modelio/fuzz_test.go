@@ -89,7 +89,7 @@ func FuzzWireDecodeDifferential(f *testing.F) {
 	for _, s := range wireTupleSeeds {
 		f.Add([]byte(s))
 	}
-	bench, _ := benchBody(19, 20)
+	bench, _ := benchBody(19, 20, 8)
 	f.Add(bench)
 	for _, s := range []string{
 		// Batches, and null bodies and values that decode like {}.
@@ -124,7 +124,7 @@ func FuzzWireDecodeDifferential(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	num, cat := fuzzSchema()
-	_, benchNum := benchBody(19, 20)
+	_, benchNum := benchBody(19, 20, 8)
 	schemas := [][2][]data.Attribute{{num, cat}, {benchNum, nil}}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		refused := wireRefusals(blob)

@@ -192,10 +192,36 @@ func TestDecodeTupleWire(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorsClipInput: an error quotes at most maxEcho bytes of a
+// refused number, key or value, then "…" and its length; a shorter one is
+// quoted whole, as before.
+func TestDecodeErrorsClipInput(t *testing.T) {
+	num := []data.Attribute{{Name: "x", Kind: data.Numeric}}
+	cat := []data.Attribute{{Name: "c", Kind: data.Categorical, Domain: []string{"p"}}}
+	long := strings.Repeat("7", 1<<20)
+	for _, tc := range []struct{ body, want string }{
+		{`{"num": [1e400], "cat": ["p"]}`, `numeric attribute "x": offset 9: number 1e400 overflows float64`},
+		{`{"num": [1` + long + `], "cat": ["p"]}`,
+			`numeric attribute "x": offset 9: number 1` + long[:maxEcho-1] + `… (1048577 bytes) overflows float64`},
+		{`{"n": 1}`, `offset 1: unknown field "n"`},
+		{`{"n` + long + `": 1}`, `offset 1: unknown field "n` + long[:maxEcho-1] + `"… (1048577 bytes)`},
+		{`{"num": [1], "cat": ["q"]}`, `categorical attribute "c": value "q" not in domain [p]`},
+		{`{"num": [1], "cat": ["` + long + `"]}`,
+			`categorical attribute "c": value "` + long[:maxEcho] + `"… (1048576 bytes) not in domain [p]`},
+	} {
+		_, _, err := DecodeRequest([]byte(tc.body), num, cat)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("body of %d bytes: error %.200v, want %.200s", len(tc.body), err, tc.want)
+		}
+	}
+}
+
 // benchBody renders a /classify body shaped like the serve benchmark's: n
 // numeric attributes, each an {"xs", "masses"} pdf of s increasing sample
-// points with 8 significant digits, and the schema it decodes against.
-func benchBody(n, s int) ([]byte, []data.Attribute) {
+// points written with strconv's 'g' at precision prec (perfbench writes 8
+// significant digits; -1 is the shortest round trip, json.Marshal's), and
+// the schema it decodes against.
+func benchBody(n, s, prec int) ([]byte, []data.Attribute) {
 	attrs := make([]data.Attribute, n)
 	b := []byte(`{"num":[`)
 	for j := range attrs {
@@ -208,7 +234,7 @@ func benchBody(n, s int) ([]byte, []data.Attribute) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendFloat(b, 100*float64(j)+float64(i)*0.73254911, 'g', 8, 64)
+			b = strconv.AppendFloat(b, 100*float64(j)+float64(i)*0.73254911, 'g', prec, 64)
 		}
 		b = append(b, `],"masses":[`...)
 		for i := 0; i < s; i++ {
@@ -216,7 +242,7 @@ func benchBody(n, s int) ([]byte, []data.Attribute) {
 				b = append(b, ',')
 			}
 			z := float64(2*i-s) / float64(s)
-			b = strconv.AppendFloat(b, math.Exp(-4*z*z)/7.3, 'g', 8, 64)
+			b = strconv.AppendFloat(b, math.Exp(-4*z*z)/7.3, 'g', prec, 64)
 		}
 		b = append(b, `]}`...)
 	}
@@ -229,7 +255,7 @@ func benchBody(n, s int) ([]byte, []data.Attribute) {
 // (the tuple, its value slice, the result slice). Scratch comes from the
 // scanner pool.
 func TestDecodeRequestAllocs(t *testing.T) {
-	body, num := benchBody(19, 20)
+	body, num := benchBody(19, 20, 8)
 	tuples, _, err := DecodeRequest(body, num, nil)
 	if err != nil || len(tuples) != 1 || tuples[0].Num[18].NumSamples() != 20 {
 		t.Fatalf("decode: %v", err)
@@ -244,4 +270,26 @@ func TestDecodeRequestAllocs(t *testing.T) {
 		t.Fatalf("%.1f allocations per request, budget %d", allocs, budget)
 	}
 	t.Logf("%.1f allocations per request, budget %d", allocs, budget)
+}
+
+// BenchmarkDecodeRequest decodes one /classify body per op, shaped like
+// the serve benchmark's (19 attributes, s = 20), at two precisions. At 8
+// significant digits, as perfbench writes them, every number takes
+// scanner.number's exact fast path; at the shortest round trip about half
+// need 17 digits and go to strconv.ParseFloat.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		prec int
+	}{{"digits8", 8}, {"shortest", -1}} {
+		body, num := benchBody(19, 20, c.prec)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := DecodeRequest(body, num, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -32,9 +32,11 @@ import (
 // but whitespace after the document.
 //
 // One hand-written scanner decodes the grammar in a single pass, straight
-// from the request bytes into pdfs. Each number is converted with
-// strconv.ParseFloat(…, 64), the call encoding/json makes, so decoded values
-// are bit-identical to encoding/json's.
+// from the request bytes into pdfs. A number is converted in the pass that
+// checks its grammar: exactly, by one float64 operation, when its digits
+// and exponent are small enough (scanner.number), and otherwise by
+// strconv.ParseFloat(…, 64), the call encoding/json makes. Decoded values
+// are bit-identical to encoding/json's either way.
 
 // StreamResult is one line of the NDJSON classification stream protocol,
 // shared by udtserve's POST /classify/stream responses and udtree's
@@ -373,7 +375,7 @@ func (d *scanner) catValue(domain []string) (data.CatDist, error) {
 				return data.NewCatPoint(i, len(domain)), nil
 			}
 		}
-		return nil, fmt.Errorf("value %q not in domain %v", v, domain)
+		return nil, fmt.Errorf("value %q not in domain %v", clipped(v), domain)
 	}
 	return nil, d.syntaxError("a string, an array or null")
 }
@@ -404,10 +406,10 @@ func (d *scanner) fields(names [][]byte, value func(k int) error) error {
 			k++
 		}
 		if k == len(names) {
-			return fmt.Errorf("offset %d: unknown field %q", start, key)
+			return fmt.Errorf("offset %d: unknown field %q", start, clipped(key))
 		}
 		if seen&(1<<k) != 0 {
-			return fmt.Errorf("offset %d: repeated key %q", start, key)
+			return fmt.Errorf("offset %d: repeated key %q", start, clipped(key))
 		}
 		seen |= 1 << k
 		if err := d.expect(':', "':' after an object key"); err != nil {
@@ -487,62 +489,126 @@ func (d *scanner) numbers(dst []float64) ([]float64, error) {
 	}
 }
 
+// pow10 holds the powers of ten that a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
 // number scans one number, which must match the JSON grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts it with
-// strconv.ParseFloat as encoding/json does.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and converts it in the
+// same pass. The scan keeps up to 19 significant digits as an integer m
+// (leading zeros of the fraction do not count) and the decimal exponent e
+// of m's last digit; the exponent's own digits saturate as strconv's do.
+// When m <= 2^53, so that no digit was dropped, and |e| <= 22, float64(m)
+// and 10^|e| are exact, and one multiplication or division gives m·10^e
+// correctly rounded: Clinger's exact-operand case, the first one strconv
+// tries. Every other number goes to strconv.ParseFloat(…, 64) on its span,
+// the call encoding/json makes, so the bits are encoding/json's either way.
 //
 //udt:hotpath
 func (d *scanner) number() (float64, error) {
 	d.ws()
 	b, start := d.b, d.pos
 	i := start
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var (
+		m   uint64 // the significant digits kept
+		nd  int    // how many m holds
+		exp int    // decimal exponent of m's last digit
+	)
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				m = m*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				exp++
+			}
+		}
 	default:
 		d.pos = i
 		return 0, d.syntaxError("a number")
 	}
 	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			d.pos = j
+		i++
+		frac := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				if nd > 0 || b[i] != '0' {
+					m = m*10 + uint64(b[i]-'0')
+					nd++
+				}
+				exp--
+			}
+		}
+		if i == frac {
+			d.pos = i
 			return 0, d.syntaxError("a digit after the decimal point")
 		}
-		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
+		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
-		j := digits(b, i)
-		if j == i {
+		digits, e := i, 0
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == digits {
 			d.pos = i
 			return 0, d.syntaxError("a digit in the exponent")
 		}
-		i = j
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
 	d.pos = i
+	if m <= 1<<53 && -len(pow10) < exp && exp < len(pow10) {
+		v := float64(m)
+		if neg {
+			v = -v
+		}
+		if exp < 0 {
+			return v / pow10[-exp], nil
+		}
+		return v * pow10[exp], nil
+	}
 	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
 		// The span is grammatical, so the only failure is range.
-		return 0, fmt.Errorf("offset %d: number %s overflows float64", start, b[start:i])
+		return 0, fmt.Errorf("offset %d: number %s overflows float64", start, clipped(b[start:i]))
 	}
 	return v, nil
 }
 
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// maxEcho bounds the request bytes an error message quotes.
+const maxEcho = 64
+
+// clipped formats request bytes in an error message. Up to maxEcho bytes
+// format as a []byte would; longer input formats as its first maxEcho
+// bytes, then "…" and its length, so no error echoes a whole request.
+type clipped []byte
+
+func (c clipped) Format(f fmt.State, verb rune) {
+	format := fmt.FormatString(f, verb)
+	if len(c) <= maxEcho {
+		fmt.Fprintf(f, format, []byte(c))
+		return
 	}
-	return i
+	fmt.Fprintf(f, format+"… (%d bytes)", []byte(c[:maxEcho]), len(c))
 }
 
 // string scans a string and returns its contents unescaped the way

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -111,7 +112,18 @@ func fromUnordered(xs, masses []float64, kept int, total float64) *PDF {
 			pts = append(pts, pt{x, m})
 		}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	// validate refused NaN, so < and > order the locations totally. The
+	// permutation is sort.Slice's (pdf_test.go pins it), so masses at one
+	// location are summed in the same order.
+	slices.SortFunc(pts, func(a, b pt) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case a.x > b.x:
+			return 1
+		}
+		return 0
+	})
 	p := withCapacity(kept)
 	run := 0.0
 	for i, q := range pts {

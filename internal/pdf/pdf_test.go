@@ -3,6 +3,7 @@ package pdf
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,91 @@ func TestNewIncreasingMatchesGeneralPath(t *testing.T) {
 		}
 		if got.xs[0] == xs[0] || got.xs[len(got.xs)-1] == xs[n-1] {
 			t.Fatalf("trial %d: a mass at or below massEps was kept", trial)
+		}
+	}
+}
+
+// fromUnorderedSortSlice is fromUnordered with the reflection-based
+// sort.Slice it used before the typed sort: the reference that
+// TestTypedSortMatchesSortSlice holds fromUnordered to.
+func fromUnorderedSortSlice(xs, masses []float64, kept int, total float64) *PDF {
+	type pt struct{ x, m float64 }
+	pts := make([]pt, 0, kept)
+	for i, x := range xs {
+		if m := masses[i]; m > massEps {
+			pts = append(pts, pt{x, m})
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	p := withCapacity(kept)
+	run := 0.0
+	for i, q := range pts {
+		run += q.m / total
+		if i > 0 && q.x == p.xs[len(p.xs)-1] {
+			p.cum[len(p.cum)-1] = run
+			continue
+		}
+		p.xs = append(p.xs, q.x)
+		p.cum = append(p.cum, run)
+	}
+	p.cum[len(p.cum)-1] = 1
+	return p
+}
+
+// TestTypedSortMatchesSortSlice: fromUnordered's typed sort must permute
+// the points as sort.Slice does, so that masses at one location are summed
+// in the same order, and the first of -0 and +0 stays the location kept,
+// bit for bit. Locations repeat often; the inputs are shuffled, ascending
+// or descending, and long enough to pass pdqsort's insertion-sort cut-off.
+func TestTypedSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(120)
+		if trial%10 == 0 {
+			n = 1 + rng.Intn(2000)
+		}
+		distinct := 1 + rng.Intn(n)
+		xs := make([]float64, n)
+		ms := make([]float64, n)
+		for i := range xs {
+			switch rng.Intn(10) {
+			case 0:
+				xs[i] = 0
+			case 1:
+				xs[i] = math.Copysign(0, -1)
+			default:
+				xs[i] = float64(rng.Intn(distinct)-distinct/2) * 0.37
+			}
+			switch rng.Intn(10) {
+			case 0:
+				ms[i] = 0
+			case 1:
+				ms[i] = massEps * rng.Float64()
+			default:
+				ms[i] = rng.Float64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		total, kept, _, err := validate(xs, ms)
+		if err != nil {
+			continue
+		}
+		got := fromUnordered(xs, ms, kept, total)
+		want := fromUnorderedSortSlice(xs, ms, kept, total)
+		if len(got.xs) != len(want.xs) {
+			t.Fatalf("trial %d: %d samples, sort.Slice gives %d", trial, len(got.xs), len(want.xs))
+		}
+		for i := range want.xs {
+			if math.Float64bits(got.xs[i]) != math.Float64bits(want.xs[i]) ||
+				math.Float64bits(got.cum[i]) != math.Float64bits(want.cum[i]) {
+				t.Fatalf("trial %d sample %d: (%v, %v), sort.Slice gives (%v, %v)",
+					trial, i, got.xs[i], got.cum[i], want.xs[i], want.cum[i])
+			}
 		}
 	}
 }

@@ -28,20 +28,20 @@ func checkNumber(s []byte) error {
 	span := bytes.TrimLeft(s, " \t\r\n")
 	if !numberGrammar.Match(span) {
 		if err == nil && d.pos == len(s) {
-			return fmt.Errorf("%q is outside the grammar, number read it whole as %v", s, got)
+			return fmt.Errorf("%q is outside the grammar, number read it whole as %v", clipped(s), got)
 		}
 		return nil
 	}
 	want, refErr := strconv.ParseFloat(string(span), 64)
 	switch {
 	case refErr != nil && !errors.Is(refErr, strconv.ErrRange):
-		return fmt.Errorf("%q: strconv refuses a grammatical number: %v", s, refErr)
+		return fmt.Errorf("%q: strconv refuses a grammatical number: %v", clipped(s), refErr)
 	case (err != nil) != (refErr != nil):
-		return fmt.Errorf("%q: number error %v, strconv error %v", s, err, refErr)
+		return fmt.Errorf("%q: number error %v, strconv error %v", clipped(s), err, refErr)
 	case err == nil && math.Float64bits(got) != math.Float64bits(want):
-		return fmt.Errorf("%q: number %v (%#x), strconv %v (%#x)", s, got, math.Float64bits(got), want, math.Float64bits(want))
+		return fmt.Errorf("%q: number %v (%#x), strconv %v (%#x)", clipped(s), got, math.Float64bits(got), want, math.Float64bits(want))
 	case d.pos != len(s):
-		return fmt.Errorf("%q: number stopped at offset %d of %d", s, d.pos, len(s))
+		return fmt.Errorf("%q: number stopped at offset %d of %d", clipped(s), d.pos, len(s))
 	}
 	return nil
 }

@@ -500,11 +500,12 @@ var pow10 = [...]float64{
 // same pass. The scan keeps up to 19 significant digits as an integer m
 // (leading zeros of the fraction do not count) and the decimal exponent e
 // of m's last digit; the exponent's own digits saturate as strconv's do.
-// When m <= 2^53, so that no digit was dropped, and |e| <= 22, float64(m)
-// and 10^|e| are exact, and one multiplication or division gives m·10^e
-// correctly rounded: Clinger's exact-operand case, the first one strconv
-// tries. Every other number goes to strconv.ParseFloat(…, 64) on its span,
-// the call encoding/json makes, so the bits are encoding/json's either way.
+// When m <= 2^53 (at most 16 digits, so none was dropped) and |e| <= 22,
+// float64(m) and 10^|e| are exact, and one multiplication or division
+// gives m·10^e correctly rounded: Clinger's exact-operand case, the first
+// one strconv tries. Every other number goes to strconv.ParseFloat(…, 64)
+// on its span, the call encoding/json makes, so the bits are
+// encoding/json's either way.
 //
 //udt:hotpath
 func (d *scanner) number() (float64, error) {

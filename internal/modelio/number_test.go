@@ -96,9 +96,9 @@ func TestNumberSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := 12000
+	n := 6000
 	if testing.Short() {
-		n = 600
+		n = 300
 	}
 	rng := rand.New(rand.NewSource(23))
 	var buf []byte
